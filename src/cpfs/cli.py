@@ -13,9 +13,7 @@ Exit status is 0 on success and 2 on any parse/validation error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .aggregation import OPERATOR_NAMES
@@ -24,7 +22,7 @@ from .errors import CircularFuzzyError
 from .fusion import fuse
 from .mcdm import complexity_estimate, complexity_sweep, solve
 from .rounding import format_fixed
-from .serialize import load_collections, load_problem, write_solve_tables
+from .serialize import load_collections, load_config, load_problem, write_solve_tables
 
 _OPERATOR_ALIASES = {"q": "cpwa_q", "p": "cpwa_p"}
 
@@ -33,19 +31,16 @@ def _operator_name(raw: str) -> str:
     return _OPERATOR_ALIASES.get(raw, raw)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise CircularFuzzyError(f"{path}: config must be a JSON object")
-    return data
+def _precision(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = {} if args.config is None else load_config(args.config)
     operator = _operator_name(args.operator or config.get("operator", "cpwa_q"))
-    precision = args.precision if args.precision is not None else int(config.get("precision", 2))
+    precision = args.precision if args.precision is not None else config.get("precision", 2)
     aggregate_precision = config.get("aggregate_precision", precision)
 
     problem = load_problem(args.input)
@@ -110,12 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", default=None, help="config JSON (operator, precision)")
     p_solve.add_argument("--out-dir", default=None, help="directory for CSV/JSON tables")
     p_solve.add_argument("--operator", choices=OPERATOR_NAMES, default=None)
-    p_solve.add_argument("--precision", type=int, default=None, help="display decimals (default 2)")
+    p_solve.add_argument(
+        "--precision", type=_precision, default=None, help="display decimals (default 2)"
+    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_fuse = sub.add_parser("fuse", help="fuse point-value collections into circular values")
     p_fuse.add_argument("--input", required=True, help="collections JSON")
-    p_fuse.add_argument("--precision", type=int, default=None)
+    p_fuse.add_argument("--precision", type=_precision, default=None)
     p_fuse.set_defaults(func=_cmd_fuse)
 
     p_comp = sub.add_parser("complexity", help="evaluate the operation-count model")

@@ -25,11 +25,13 @@ argument, so the minimum over the domain ``k, n >= 2`` sits at ``(2, 2)``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 from .aggregation import AggregationOperator, OPERATOR_NAMES, WeightVector, make_operator
 from .errors import (
+    DegenerateCenter,
     DimensionMismatch,
     DomainError,
     EmptyInput,
@@ -129,7 +131,9 @@ class Ranking:
     """Alternatives ordered best-first by similarity score.
 
     Equal scores keep the input order of the alternatives and are flagged
-    ``tied`` on every member of the tie group.
+    ``tied`` on every member of the tie group.  A tie is exact float
+    equality (``==``): ``0.0`` ties with ``-0.0``, a NaN ties with nothing,
+    and no tolerance is applied.  Ranking ``n`` scores costs O(n log n).
     """
 
     entries: tuple[RankingEntry, ...]
@@ -150,11 +154,15 @@ class Ranking:
 
     @classmethod
     def from_scores(cls, labels: Sequence[str], scores: Sequence[float]) -> "Ranking":
+        if len(scores) != len(labels):
+            raise LengthMismatch(f"got {len(scores)} scores for {len(labels)} labels")
         order = sorted(range(len(labels)), key=lambda i: -scores[i])
-        tied = [
-            any(i != j and scores[i] == scores[j] for j in range(len(labels)))
-            for i in range(len(labels))
-        ]
+        # Equal floats hash alike, so a score is tied when its key counts it
+        # more than once.  The `s == s` test drops a NaN, which a dict would
+        # match to itself by identity.  Neighbours in `order` would not do:
+        # a NaN key leaves the sort order partial, and it can split a tie.
+        counts = Counter(scores)
+        tied = [counts[s] > 1 and s == s for s in scores]
         return cls(tuple(RankingEntry(labels[i], scores[i], tied[i]) for i in order))
 
 
@@ -202,6 +210,13 @@ def _quantize(v: CPFV, digits: int) -> CPFV:
     )
 
 
+def _score(label: str, v: CPFV) -> float:
+    try:
+        return csm_to_ideal(v)
+    except DegenerateCenter as err:
+        raise DegenerateCenter(f"alternative {label!r}: {err}") from err
+
+
 def solve(
     problem: DecisionProblem,
     operator: str | AggregationOperator = "cpwa_q",
@@ -231,7 +246,7 @@ def solve(
         scored = aggregated
     else:
         scored = tuple(_quantize(v, aggregate_precision) for v in aggregated)
-    similarities = tuple(csm_to_ideal(v) for v in scored)
+    similarities = tuple(_score(label, v) for label, v in zip(problem.alternatives, scored))
     ranking = Ranking.from_scores(problem.alternatives, similarities)
     return PipelineResult(
         problem=problem,

@@ -14,6 +14,10 @@ Collections document (JSON), for fusing point values::
 
     {"elements": [{"label": "x1", "values": [[mu, nu], ...]}, ...]}
 
+Config document (JSON) for ``cpfs solve``; every key is optional::
+
+    {"operator": "cpwa_q", "precision": 2, "aggregate_precision": 2}
+
 Errors carry the offending document path (e.g. ``experts[1][2][0]``), and
 all CSV output is deterministic: fixed column order, fixed half-up decimal
 formatting, ``\n`` line endings.
@@ -40,9 +44,20 @@ __all__ = [
     "dump_problem",
     "parse_collections",
     "load_collections",
+    "parse_config",
+    "load_config",
     "write_solve_tables",
     "result_to_dict",
 ]
+
+
+def _decode(document: str | dict, source: str | None) -> Any:
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}", source=source) from e
 
 
 def _as_list(node: Any, where: str, source: str | None) -> list:
@@ -63,13 +78,7 @@ def _as_pair(node: Any, where: str, source: str | None) -> tuple[float, float]:
 
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
     """Parse and validate a problem document (JSON text or an already-loaded dict)."""
-    if isinstance(document, str):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}", source=source) from e
-    else:
-        data = document
+    data = _decode(document, source)
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", source=source)
 
@@ -148,13 +157,7 @@ def parse_collections(
     document: str | dict, source: str | None = None
 ) -> list[tuple[str, list[PFV]]]:
     """Parse a collections document into ``(label, point values)`` rows."""
-    if isinstance(document, str):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}", source=source) from e
-    else:
-        data = document
+    data = _decode(document, source)
     if not isinstance(data, dict) or "elements" not in data:
         raise ParseError("top level must be an object with an 'elements' field", source=source)
 
@@ -180,6 +183,44 @@ def parse_collections(
 def load_collections(path: str | Path) -> list[tuple[str, list[PFV]]]:
     path = Path(path)
     return parse_collections(path.read_text(encoding="utf-8"), source=str(path))
+
+
+def _as_digits(node: Any, where: str, source: str | None) -> int:
+    if isinstance(node, bool) or not isinstance(node, int) or node < 0:
+        raise ParseError(f"expected a non-negative integer, got {node!r}", location=where, source=source)
+    return node
+
+
+def parse_config(document: str | dict, source: str | None = None) -> dict:
+    """Parse and validate a ``solve`` config document.
+
+    ``operator`` must be a string, ``precision`` a non-negative integer and
+    ``aggregate_precision`` a non-negative integer or ``null``.  Returns the
+    keys the document sets; other keys are ignored.
+    """
+    data = _decode(document, source)
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object", source=source)
+    config = {}
+    if "operator" in data:
+        if not isinstance(data["operator"], str):
+            raise ParseError(
+                f"expected an operator name, got {data['operator']!r}", location="operator", source=source
+            )
+        config["operator"] = data["operator"]
+    if "precision" in data:
+        config["precision"] = _as_digits(data["precision"], "precision", source)
+    if "aggregate_precision" in data:
+        digits = data["aggregate_precision"]
+        config["aggregate_precision"] = (
+            None if digits is None else _as_digits(digits, "aggregate_precision", source)
+        )
+    return config
+
+
+def load_config(path: str | Path) -> dict:
+    path = Path(path)
+    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
 
 
 # ---------------------------------------------------------------------------

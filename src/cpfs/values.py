@@ -81,12 +81,20 @@ class PFV:
     nu: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _require_component(self.mu, "mu"))
-        object.__setattr__(self, "nu", _require_component(self.nu, "nu"))
-        s = self.mu * self.mu + self.nu * self.nu
+        mu, nu = self.mu, self.nu
+        # A float already in [0, 1] is what _require_component would return
+        # unchanged, so it skips the check and the store.  NaN fails the
+        # comparison and takes the full check.
+        if type(mu) is not float or not 0.0 <= mu <= 1.0:
+            mu = _require_component(mu, "mu")
+            object.__setattr__(self, "mu", mu)
+        if type(nu) is not float or not 0.0 <= nu <= 1.0:
+            nu = _require_component(nu, "nu")
+            object.__setattr__(self, "nu", nu)
+        s = mu * mu + nu * nu
         if s > 1.0 + UNIT_SLACK:
             raise ConstraintViolation(
-                f"mu**2 + nu**2 must not exceed 1, got {s} for mu={self.mu}, nu={self.nu}"
+                f"mu**2 + nu**2 must not exceed 1, got {s} for mu={mu}, nu={nu}"
             )
 
     @property
@@ -108,12 +116,14 @@ class CPFV:
     def __post_init__(self) -> None:
         if not isinstance(self.center, PFV):
             raise OutOfRange(f"center must be a PFV, got {self.center!r}")
-        if not isinstance(self.r, (int, float)) or isinstance(self.r, bool):
-            raise RadiusOutOfRange(f"radius must be a real number, got {self.r!r}")
-        r = float(self.r)
-        if not math.isfinite(r) or r < 0.0 or r > 1.0:
-            raise RadiusOutOfRange(f"radius must lie in [0, 1], got {r!r}")
-        object.__setattr__(self, "r", r)
+        r = self.r
+        if type(r) is not float or not 0.0 <= r <= 1.0:  # as in PFV
+            if not isinstance(r, (int, float)) or isinstance(r, bool):
+                raise RadiusOutOfRange(f"radius must be a real number, got {r!r}")
+            r = float(r)
+            if not math.isfinite(r) or r < 0.0 or r > 1.0:
+                raise RadiusOutOfRange(f"radius must lie in [0, 1], got {r!r}")
+            object.__setattr__(self, "r", r)
 
     @classmethod
     def of(cls, mu: float, nu: float, r: float) -> "CPFV":

@@ -13,6 +13,7 @@ __all__ = [
     "sample_cpfv",
     "grow",
     "assert_cpfv_close",
+    "all_pairs_ranking",
 ]
 
 
@@ -61,3 +62,15 @@ def assert_cpfv_close(a: CPFV, b: CPFV, tol: float = 1e-12) -> None:
     assert abs(a.mu - b.mu) <= tol, f"mu: {a.mu} vs {b.mu}"
     assert abs(a.nu - b.nu) <= tol, f"nu: {a.nu} vs {b.nu}"
     assert abs(a.r - b.r) <= tol, f"r: {a.r} vs {b.r}"
+
+
+def all_pairs_ranking(labels, scores) -> list[tuple[str, float, bool]]:
+    """``(label, score, tied)`` best-first, ties found by comparing all pairs.
+
+    The O(n**2) rule ``Ranking.from_scores`` applied before it counted
+    scores; kept as the reference its tie flags must equal.
+    """
+    n = len(labels)
+    order = sorted(range(n), key=lambda i: -scores[i])
+    tied = [any(i != j and scores[i] == scores[j] for j in range(n)) for i in range(n)]
+    return [(labels[i], scores[i], tied[i]) for i in order]

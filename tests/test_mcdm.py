@@ -1,8 +1,12 @@
+import math
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cpfs import (
     CPFV,
     DecisionProblem,
+    DegenerateCenter,
     DimensionMismatch,
     DomainError,
     EmptyInput,
@@ -23,6 +27,7 @@ from cpfs import (
     solve,
 )
 import expected_case_study as ref
+from helpers import all_pairs_ranking
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +221,12 @@ class TestSolve:
         with pytest.raises(UnknownOperator):
             solve(problem, "cpwa_z")
 
+    @pytest.mark.parametrize("operator", ["cpwa_q", "cpwa_p", "cpwg_q", "cpwg_p"])
+    def test_degenerate_score_names_the_alternative(self, operator):
+        cells = [[(0.5, 0.5), (0.6, 0.4)], [(0.0, 0.0), (0.0, 0.0)]]
+        with pytest.raises(DegenerateCenter, match="alternative 'A2'"):
+            solve(small_problem(cells), operator)
+
 
 class TestRanking:
     def test_from_scores_orders_best_first(self):
@@ -228,6 +239,26 @@ class TestRanking:
         r = Ranking.from_scores(["a", "b", "c"], [0.5, 0.9, 0.5])
         flags = {e.label: e.tied for e in r.entries}
         assert flags == {"a": True, "b": False, "c": True}
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            Ranking.from_scores(["a"], [0.5, 0.5])
+
+
+# A small pool makes ties common; the NaN is one object, so it also meets itself.
+TIE_POOL = [0.0, -0.0, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan]
+
+
+@given(st.lists(st.one_of(st.sampled_from(TIE_POOL), st.floats()), max_size=40))
+@example([])
+@example([0.5])
+@example([0.0, -0.0])
+@example([0.5, math.nan, 0.5])
+def test_tie_flags_match_all_pairs_rule(scores):
+    labels = [f"a{i}" for i in range(len(scores))]
+    got = [(e.label, repr(e.score), e.tied) for e in Ranking.from_scores(labels, scores).entries]
+    want = [(label, repr(s), tied) for label, s, tied in all_pairs_ranking(labels, scores)]
+    assert got == want
 
 
 class TestComplexityEstimate:

@@ -8,6 +8,7 @@ from cpfs.serialize import (
     dump_problem,
     load_problem,
     parse_collections,
+    parse_config,
     parse_problem,
     problem_to_dict,
     write_solve_tables,
@@ -93,6 +94,15 @@ class TestParseCollections:
         assert rows[0][0] == "x1"
 
 
+class TestParseConfig:
+    def test_keys_present_are_returned(self):
+        doc = '{"operator": "q", "precision": 3, "aggregate_precision": null, "note": 1}'
+        assert parse_config(doc) == {"operator": "q", "precision": 3, "aggregate_precision": None}
+
+    def test_empty_config(self):
+        assert parse_config({}) == {}
+
+
 class TestWriteSolveTables:
     def test_files_written(self, tmp_path):
         result = solve(load_case_study(), "cpwa_q")
@@ -167,6 +177,46 @@ class TestCli:
         assert main(["solve", "--input", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "weights" in err
+
+    @pytest.mark.parametrize(
+        "config, location",
+        [
+            ('{"precision": "abc"}', "precision"),
+            ('{"precision": -1}', "precision"),
+            ('{"precision": true}', "precision"),
+            ('{"aggregate_precision": "x"}', "aggregate_precision"),
+            ('{"aggregate_precision": 1.5}', "aggregate_precision"),
+            ('{"operator": ["cpwa_q"]}', "operator"),
+            ('{"precision": 2', "invalid JSON"),
+            ("[2]", "top level must be an object"),
+        ],
+    )
+    def test_solve_bad_config_is_located(self, tmp_path, capsys, config, location):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"{cfg}: {location}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--precision", "-3"],
+            ["fuse", "--input", str(collections_path()), "--precision", "-3"],
+        ],
+    )
+    def test_negative_precision_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision: must be a non-negative integer" in capsys.readouterr().err
+
+    def test_solve_names_a_degenerate_alternative(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["experts"] = [[[[0.5, 0.5], [0.6, 0.4]], [[0.0, 0.0], [0.0, 0.0]]]]
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(bad)]) == 2
+        assert "alternative 'A2'" in capsys.readouterr().err
 
     def test_fuse_bundled_example(self, capsys):
         assert main(["fuse", "--input", str(collections_path())]) == 0

@@ -19,7 +19,13 @@ from cpfs import (
     validate_cpfv,
     validate_pfv,
 )
+from cpfs.values import _require_component
 from helpers import grow, make_rng, sample_cpfv
+
+try:
+    import numpy
+except ImportError:  # numpy is optional; its float64 is one more float subclass
+    numpy = None
 
 
 def set_a():
@@ -79,6 +85,56 @@ class TestValidateCpfv:
     def test_center_errors_still_raised(self):
         with pytest.raises(ConstraintViolation):
             validate_cpfv(0.9, 0.9, 0.5)
+
+
+class FloatSub(float):
+    pass
+
+
+def checked_component(x):
+    """What a component check stores for ``x``; ``None`` if it rejects it.
+
+    The radius check applies the same rule with its own error class.
+    """
+    try:
+        return _require_component(x, "x")
+    except OutOfRange:
+        return None
+
+
+def assert_checked_as_before(x):
+    expected = checked_component(x)
+    for build, stored, error in (
+        (lambda: PFV(x, 0.0), lambda v: v.mu, OutOfRange),
+        (lambda: PFV(0.0, x), lambda v: v.nu, OutOfRange),
+        (lambda: CPFV(PFV(0.0, 0.0), x), lambda v: v.r, RadiusOutOfRange),
+    ):
+        if expected is None:
+            with pytest.raises(error):
+                build()
+        else:
+            got = stored(build())
+            assert type(got) is float
+            assert repr(got) == repr(expected)  # repr keeps the sign of -0.0
+
+
+UNIT_EDGE_INPUTS = [
+    True, False, 0, 1, 2, -1, "0.5", None,
+    0.0, -0.0, 0.5, 1.0, FloatSub(0.5), FloatSub(-0.0), FloatSub(1.5),
+    math.nan, math.inf, -math.inf,
+    math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+    5e-324, 2.2250738585072014e-308 / 2,
+] + ([numpy.float64(0.25), numpy.float64(1.5), numpy.float64(-0.0)] if numpy else [])
+
+
+class TestConstructorsCheckAsBefore:
+    @pytest.mark.parametrize("x", UNIT_EDGE_INPUTS, ids=repr)
+    def test_edge_inputs(self, x):
+        assert_checked_as_before(x)
+
+    @given(st.one_of(st.floats(), st.floats().map(FloatSub), st.integers(-2, 2), st.booleans()))
+    def test_random_inputs(self, x):
+        assert_checked_as_before(x)
 
 
 class TestCpfs:
