@@ -84,7 +84,7 @@ from .mcdm import (
     solve,
 )
 from .datasets import case_study_path, collections_path, load_case_study
-from .rounding import format_fixed, round_half_up
+from .rounding import MAX_PRECISION, format_fixed, round_half_up
 
 __version__ = "0.1.0"
 
@@ -169,6 +169,7 @@ __all__ = [
     "load_case_study",
     "collections_path",
     # rounding
+    "MAX_PRECISION",
     "round_half_up",
     "format_fixed",
 ]

@@ -21,7 +21,7 @@ from .datasets import case_study_path
 from .errors import CircularFuzzyError
 from .fusion import fuse
 from .mcdm import complexity_estimate, complexity_sweep, solve
-from .rounding import format_fixed
+from .rounding import MAX_PRECISION, format_fixed
 from .serialize import load_collections, load_config, load_problem, write_solve_tables
 
 _OPERATOR_ALIASES = {"q": "cpwa_q", "p": "cpwa_p"}
@@ -32,8 +32,10 @@ def _operator_name(raw: str) -> str:
 
 
 def _precision(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    if not text.isdecimal() or int(text) > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer at most {MAX_PRECISION}, got {text!r}"
+        )
     return int(text)
 
 

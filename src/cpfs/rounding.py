@@ -4,11 +4,24 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
 
-__all__ = ["round_half_up", "format_fixed"]
+from .errors import DomainError
+
+__all__ = ["MAX_PRECISION", "require_precision", "round_half_up", "format_fixed"]
+
+#: Largest number of decimals the default 28-digit decimal context can hold
+#: for every value in [0, 1]: ``1.0`` at 28 decimals needs 29 digits.
+MAX_PRECISION = 27
+
+
+def require_precision(digits: int) -> int:
+    """``digits``, or :class:`DomainError` if it exceeds :data:`MAX_PRECISION`."""
+    if digits > MAX_PRECISION:
+        raise DomainError(f"precision must be at most {MAX_PRECISION}, got {digits}")
+    return digits
 
 
 def _quantized(x: float, digits: int) -> Decimal:
-    exp = Decimal(1).scaleb(-digits)
+    exp = Decimal(1).scaleb(-require_precision(digits))
     return Decimal(repr(float(x))).quantize(exp, rounding=ROUND_HALF_UP)
 
 
@@ -18,5 +31,8 @@ def round_half_up(x: float, digits: int = 2) -> float:
 
 
 def format_fixed(x: float, digits: int = 2) -> str:
-    """Fixed-point half-up string, e.g. ``format_fixed(0.645, 2) == '0.65'``."""
-    return str(_quantized(x, digits))
+    """Fixed-point half-up string, e.g. ``format_fixed(0.645, 2) == '0.65'``.
+
+    Never in exponent form: ``format_fixed(0.0, 7) == '0.0000000'``.
+    """
+    return format(_quantized(x, digits), "f")

@@ -14,7 +14,8 @@ Collections document (JSON), for fusing point values::
 
     {"elements": [{"label": "x1", "values": [[mu, nu], ...]}, ...]}
 
-Config document (JSON) for ``cpfs solve``; every key is optional::
+Config document (JSON) for ``cpfs solve``; every key is optional and no
+other key is allowed::
 
     {"operator": "cpwa_q", "precision": 2, "aggregate_precision": 2}
 
@@ -26,14 +27,13 @@ formatting, ``\n`` line endings.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CircularFuzzyError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
-from .rounding import format_fixed
+from .rounding import MAX_PRECISION, format_fixed, require_precision
 from .values import PFV
 from .aggregation import WeightVector
 
@@ -66,14 +66,27 @@ def _as_list(node: Any, where: str, source: str | None) -> list:
     return node
 
 
-def _as_pair(node: Any, where: str, source: str | None) -> tuple[float, float]:
-    pair = _as_list(node, where, source)
-    if len(pair) != 2:
-        raise ParseError(f"expected a [mu, nu] pair, got {len(pair)} items", location=where, source=source)
-    for k, x in enumerate(pair):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ParseError(f"expected a number, got {x!r}", location=f"{where}[{k}]", source=source)
-    return float(pair[0]), float(pair[1])
+def _as_pfv(node: Any, where: Callable[[], str], source: str | None) -> PFV:
+    """The point value of a ``[mu, nu]`` cell; ``where()`` names the cell in an error."""
+    # A pair of exact floats skips the list and number checks: float(x) is x.
+    if type(node) is list and len(node) == 2 and type(node[0]) is float and type(node[1]) is float:
+        mu, nu = node
+    else:
+        pair = _as_list(node, where(), source)
+        if len(pair) != 2:
+            raise ParseError(
+                f"expected a [mu, nu] pair, got {len(pair)} items", location=where(), source=source
+            )
+        for k, x in enumerate(pair):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise ParseError(
+                    f"expected a number, got {x!r}", location=f"{where()}[{k}]", source=source
+                )
+        mu, nu = float(pair[0]), float(pair[1])
+    try:
+        return PFV(mu, nu)
+    except CircularFuzzyError as err:
+        raise ParseError(str(err), location=where(), source=source) from err
 
 
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
@@ -109,12 +122,7 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         for i, row in enumerate(_as_list(matrix, f"experts[{e}]", source)):
             cells = []
             for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", source)):
-                where = f"experts[{e}][{i}][{j}]"
-                mu, nu = _as_pair(cell, where, source)
-                try:
-                    cells.append(PFV(mu, nu))
-                except CircularFuzzyError as err:
-                    raise ParseError(str(err), location=where, source=source) from err
+                cells.append(_as_pfv(cell, lambda: f"experts[{e}][{i}][{j}]", source))
             rows.append(tuple(cells))
         experts.append(tuple(rows))
 
@@ -169,11 +177,7 @@ def parse_collections(
         label = str(element.get("label", f"x{i + 1}"))
         values = []
         for j, cell in enumerate(_as_list(element["values"], f"{where}.values", source)):
-            mu, nu = _as_pair(cell, f"{where}.values[{j}]", source)
-            try:
-                values.append(PFV(mu, nu))
-            except CircularFuzzyError as err:
-                raise ParseError(str(err), location=f"{where}.values[{j}]", source=source) from err
+            values.append(_as_pfv(cell, lambda: f"{where}.values[{j}]", source))
         if not values:
             raise ParseError("collection must be non-empty", location=f"{where}.values", source=source)
         out.append((label, values))
@@ -186,21 +190,34 @@ def load_collections(path: str | Path) -> list[tuple[str, list[PFV]]]:
 
 
 def _as_digits(node: Any, where: str, source: str | None) -> int:
-    if isinstance(node, bool) or not isinstance(node, int) or node < 0:
-        raise ParseError(f"expected a non-negative integer, got {node!r}", location=where, source=source)
+    if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node <= MAX_PRECISION:
+        raise ParseError(
+            f"expected a non-negative integer at most {MAX_PRECISION}, got {node!r}",
+            location=where,
+            source=source,
+        )
     return node
+
+
+_CONFIG_KEYS = ("operator", "precision", "aggregate_precision")
 
 
 def parse_config(document: str | dict, source: str | None = None) -> dict:
     """Parse and validate a ``solve`` config document.
 
-    ``operator`` must be a string, ``precision`` a non-negative integer and
-    ``aggregate_precision`` a non-negative integer or ``null``.  Returns the
-    keys the document sets; other keys are ignored.
+    ``operator`` must be a string, ``precision`` an integer from 0 to
+    :data:`~cpfs.rounding.MAX_PRECISION` and ``aggregate_precision`` such an
+    integer or ``null``.  Returns the keys the document sets; any other key
+    is an error.
     """
     data = _decode(document, source)
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", source=source)
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise ParseError(
+                f"unknown key; expected one of {', '.join(_CONFIG_KEYS)}", location=key, source=source
+            )
     config = {}
     if "operator" in data:
         if not isinstance(data["operator"], str):
@@ -228,86 +245,94 @@ def load_config(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+class _Formatted(dict):
+    """``format_fixed`` at fixed ``digits``, computed once per distinct value."""
+
+    def __init__(self, digits: int) -> None:
+        self.digits = digits
+
+    def __missing__(self, x: float) -> str:
+        s = format_fixed(x, self.digits)
+        # 0.0 == -0.0 and both hash alike: zero is never stored, so its sign survives.
+        if x:
+            self[x] = s
+        return s
 
 
 def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: int = 2) -> dict[str, Path]:
     """Write every pipeline table as CSV plus a JSON result document.
 
-    Returns a name -> path map of everything written.
+    Returns a name -> path map of everything written.  A precision above
+    :data:`~cpfs.rounding.MAX_PRECISION` raises before any file is written.
     """
+    fmt = _Formatted(require_precision(precision))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fmt = lambda x: format_fixed(x, precision)  # noqa: E731
+    score = _Formatted(3)
     problem = result.problem
     alts, crits = problem.alternatives, problem.criteria
+    circular = result.circular_matrix
 
     files: dict[str, Path] = {}
 
-    def emit(name: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    def emit(name: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
         path = out / f"{name}.csv"
-        path.write_text(_csv_text(header, rows), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         files[name] = path
 
     emit(
         "normalized_matrix",
         ["expert", "alternative", "criterion", "mu", "nu"],
-        [
-            (e + 1, alts[i], crits[j], fmt(cell.mu), fmt(cell.nu))
+        (
+            (e + 1, alts[i], crits[j], fmt[cell.mu], fmt[cell.nu])
             for e, matrix in enumerate(result.normalized.experts)
             for i, row in enumerate(matrix)
             for j, cell in enumerate(row)
-        ],
+        ),
     )
     emit(
         "fused_centers",
         ["alternative", "criterion", "mu", "nu"],
-        [
-            (alts[i], crits[j], fmt(v.mu), fmt(v.nu))
-            for i, row in enumerate(result.circular_matrix)
+        (
+            (alts[i], crits[j], fmt[v.mu], fmt[v.nu])
+            for i, row in enumerate(circular)
             for j, v in enumerate(row)
-        ],
+        ),
     )
     emit(
         "fused_radii",
         ["alternative", "criterion", "r"],
-        [
-            (alts[i], crits[j], fmt(v.r))
-            for i, row in enumerate(result.circular_matrix)
-            for j, v in enumerate(row)
-        ],
+        ((alts[i], crits[j], fmt[v.r]) for i, row in enumerate(circular) for j, v in enumerate(row)),
     )
     emit(
         "circular_matrix",
         ["alternative", "criterion", "mu", "nu", "r"],
-        [
-            (alts[i], crits[j], fmt(v.mu), fmt(v.nu), fmt(v.r))
-            for i, row in enumerate(result.circular_matrix)
+        (
+            (alts[i], crits[j], fmt[v.mu], fmt[v.nu], fmt[v.r])
+            for i, row in enumerate(circular)
             for j, v in enumerate(row)
-        ],
+        ),
     )
     emit(
         "aggregated",
         ["alternative", "mu", "nu", "r"],
-        [(alts[i], fmt(v.mu), fmt(v.nu), fmt(v.r)) for i, v in enumerate(result.aggregated)],
+        ((alts[i], fmt[v.mu], fmt[v.nu], fmt[v.r]) for i, v in enumerate(result.aggregated)),
     )
     emit(
         "similarities",
         ["alternative", "score"],
-        [(alts[i], format_fixed(s, 3)) for i, s in enumerate(result.similarities)],
+        ((alts[i], score[s]) for i, s in enumerate(result.similarities)),
     )
     emit(
         "ranking",
         ["rank", "alternative", "score", "tied"],
-        [
-            (pos + 1, entry.label, format_fixed(entry.score, 3), int(entry.tied))
+        (
+            (pos + 1, entry.label, score[entry.score], int(entry.tied))
             for pos, entry in enumerate(result.ranking.entries)
-        ],
+        ),
     )
 
     doc = result_to_dict(result)

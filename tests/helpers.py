@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import random
+from pathlib import Path
 
-from cpfs import CPFV, PFV
+from cpfs import CPFV, PFV, CircularFuzzyError, ParseError, format_fixed
+from cpfs.serialize import result_to_dict
 
 __all__ = [
     "make_rng",
@@ -14,6 +19,8 @@ __all__ = [
     "grow",
     "assert_cpfv_close",
     "all_pairs_ranking",
+    "reference_cell",
+    "reference_solve_tables",
 ]
 
 
@@ -74,3 +81,91 @@ def all_pairs_ranking(labels, scores) -> list[tuple[str, float, bool]]:
     order = sorted(range(n), key=lambda i: -scores[i])
     tied = [any(i != j and scores[i] == scores[j] for j in range(n)) for i in range(n)]
     return [(labels[i], scores[i], tied[i]) for i in order]
+
+
+def reference_cell(node, where: str) -> PFV:
+    """The point value of a problem cell, with every check on every cell.
+
+    The cell checks ``parse_problem`` made before its fast path for pairs of
+    floats; kept as the reference its results and errors must equal.
+    """
+    if not isinstance(node, list):
+        raise ParseError(f"expected a list, got {type(node).__name__}", location=where)
+    if len(node) != 2:
+        raise ParseError(f"expected a [mu, nu] pair, got {len(node)} items", location=where)
+    for k, x in enumerate(node):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise ParseError(f"expected a number, got {x!r}", location=f"{where}[{k}]")
+    try:
+        return PFV(float(node[0]), float(node[1]))
+    except CircularFuzzyError as err:
+        raise ParseError(str(err), location=where) from err
+
+
+def _reference_csv(path: Path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def reference_solve_tables(result, out: Path, precision: int = 2) -> None:
+    """The files ``write_solve_tables`` writes, with ``format_fixed`` called on every cell.
+
+    The table writer before it formatted each distinct value once; kept as
+    the reference its bytes must equal.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    fmt = lambda x: format_fixed(x, precision)  # noqa: E731
+    alts, crits = result.problem.alternatives, result.problem.criteria
+    circular = result.circular_matrix
+    _reference_csv(
+        out / "normalized_matrix.csv",
+        ["expert", "alternative", "criterion", "mu", "nu"],
+        [
+            (e + 1, alts[i], crits[j], fmt(cell.mu), fmt(cell.nu))
+            for e, matrix in enumerate(result.normalized.experts)
+            for i, row in enumerate(matrix)
+            for j, cell in enumerate(row)
+        ],
+    )
+    _reference_csv(
+        out / "fused_centers.csv",
+        ["alternative", "criterion", "mu", "nu"],
+        [(alts[i], crits[j], fmt(v.mu), fmt(v.nu)) for i, row in enumerate(circular) for j, v in enumerate(row)],
+    )
+    _reference_csv(
+        out / "fused_radii.csv",
+        ["alternative", "criterion", "r"],
+        [(alts[i], crits[j], fmt(v.r)) for i, row in enumerate(circular) for j, v in enumerate(row)],
+    )
+    _reference_csv(
+        out / "circular_matrix.csv",
+        ["alternative", "criterion", "mu", "nu", "r"],
+        [
+            (alts[i], crits[j], fmt(v.mu), fmt(v.nu), fmt(v.r))
+            for i, row in enumerate(circular)
+            for j, v in enumerate(row)
+        ],
+    )
+    _reference_csv(
+        out / "aggregated.csv",
+        ["alternative", "mu", "nu", "r"],
+        [(alts[i], fmt(v.mu), fmt(v.nu), fmt(v.r)) for i, v in enumerate(result.aggregated)],
+    )
+    _reference_csv(
+        out / "similarities.csv",
+        ["alternative", "score"],
+        [(alts[i], format_fixed(s, 3)) for i, s in enumerate(result.similarities)],
+    )
+    _reference_csv(
+        out / "ranking.csv",
+        ["rank", "alternative", "score", "tied"],
+        [
+            (pos + 1, entry.label, format_fixed(entry.score, 3), int(entry.tied))
+            for pos, entry in enumerate(result.ranking.entries)
+        ],
+    )
+    doc = json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
+    (out / "result.json").write_text(doc, encoding="utf-8")

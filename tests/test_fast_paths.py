@@ -1,0 +1,162 @@
+"""The two fast paths of ``cpfs.serialize`` against their references.
+
+``write_solve_tables`` formats each distinct value once; its files must equal
+those of a writer that formats every cell.  ``parse_problem`` takes pairs of
+floats without the per-item checks; it must accept and reject the same
+documents, with the same values and the same located errors, as a parser
+that checks every cell.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from cpfs import (
+    CPFV,
+    PFV,
+    MAX_PRECISION,
+    DecisionProblem,
+    ParseError,
+    PipelineResult,
+    Ranking,
+    WeightVector,
+)
+from cpfs.serialize import parse_problem, write_solve_tables
+from helpers import reference_cell, reference_solve_tables
+
+# Repeats, both zeros, half-up ties at two and three decimals, and a value
+# that is 0 at every precision but not zero.
+UNIT_POOL = [0.0, -0.0, 0.5, 0.125, 0.005, 0.0125, 0.045, 1.0, 1e-9, 1 / 3, 0.999999999]
+unit = st.one_of(st.sampled_from(UNIT_POOL), st.floats(0.0, 1.0))
+pfvs = st.tuples(unit, unit).filter(lambda p: p[0] * p[0] + p[1] * p[1] <= 1.0).map(lambda p: PFV(*p))
+
+
+@st.composite
+def results(draw):
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    alts = tuple(f"A{i + 1}" for i in range(n))
+    crits = tuple(f"C{j + 1}" for j in range(m))
+
+    def problem():
+        return DecisionProblem(
+            alternatives=alts,
+            criteria=crits,
+            polarity=("benefit",) * m,
+            weights=WeightVector((1.0,) + (0.0,) * (m - 1)),
+            experts=draw(st.lists(
+                st.lists(st.lists(pfvs, min_size=m, max_size=m).map(tuple), min_size=n, max_size=n)
+                .map(tuple),
+                min_size=k, max_size=k,
+            )),
+        )
+
+    cpfvs = st.tuples(pfvs, unit).map(lambda p: CPFV(*p))
+    circular = tuple(tuple(draw(st.lists(cpfvs, min_size=m, max_size=m))) for _ in alts)
+    aggregated = tuple(draw(st.lists(cpfvs, min_size=n, max_size=n)))
+    similarities = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
+    return PipelineResult(
+        problem=problem(),
+        normalized=problem(),
+        circular_matrix=circular,
+        aggregated=aggregated,
+        scored=aggregated,
+        similarities=similarities,
+        ranking=Ranking.from_scores(alts, similarities),
+        operator="cpwa_q",
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(results(), st.integers(0, MAX_PRECISION))
+def test_tables_equal_a_writer_that_formats_every_cell(result, precision):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got"), Path(tmp, "want")
+        files = write_solve_tables(result, got, precision=precision)
+        reference_solve_tables(result, want, precision=precision)
+        assert sorted(p.name for p in files.values()) == sorted(p.name for p in want.iterdir())
+        for path in files.values():
+            assert path.read_bytes() == (want / path.name).read_bytes(), path.name
+
+
+def test_negative_zero_keeps_its_sign_after_a_positive_zero(tmp_path):
+    a, b = PFV(0.0, 0.5), PFV(-0.0, 0.5)
+    problem = DecisionProblem(("A1", "A2"), ("C1",), ("benefit",), WeightVector((1.0,)),
+                              (((a,), (b,)),))
+    v = CPFV(a, 0.0)
+    result = PipelineResult(problem, problem, ((v,), (v,)), (v, v), (v, v), (0.5, 0.5),
+                            Ranking.from_scores(("A1", "A2"), (0.5, 0.5)), "cpwa_q")
+    write_solve_tables(result, tmp_path)
+    lines = (tmp_path / "normalized_matrix.csv").read_text().splitlines()
+    assert lines[1:] == ["1,A1,C1,0.00,0.50", "1,A2,C1,-0.00,0.50"]
+
+
+class FloatSub(float):
+    pass
+
+
+# Cells from JSON (ints, bools, both zeros, strings, nested and wrong-length
+# lists, pairs outside the unit disc) and from an already-loaded dict.
+CELL_POOL = [
+    [0.5, 0.5], [1, 0], [0, 1], [1, 0.0], [0.0, 1], [True, 0.5], [0.5, False],
+    [-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [0.5, 0.5, 0.5], [0.5], [], "0.5",
+    0.5, None, {"mu": 0.5}, [[0.5], 0.5], [[0.5, 0.5]], [0.9, 0.9], [1.5, 0.0],
+    [-0.5, 0.5], [0.6, 0.8], [math.nan, 0.5], [math.inf, 0.0], ["0.5", 0.5],
+    (0.5, 0.5), [np.float64(0.5), 0.5], [FloatSub(0.5), 0.5], [2, 0],
+]
+cells = st.one_of(
+    st.sampled_from(CELL_POOL),
+    st.lists(st.one_of(st.floats(), st.integers(-2, 2), st.booleans(), st.text(max_size=2)),
+             max_size=3),
+)
+
+
+def outcome(parse, cells):
+    """Component reprs and types of every cell, or the error message."""
+    try:
+        return [(repr(c.mu), type(c.mu), repr(c.nu), type(c.nu)) for c in parse(cells)]
+    except ParseError as err:
+        return str(err)
+
+
+def document(cells):
+    return {
+        "alternatives": ["A1", "A2"],
+        "criteria": ["C1", "C2"],
+        "polarity": ["benefit", "cost"],
+        "weights": [0.5, 0.5],
+        "experts": [[cells[0:2], cells[2:4]], [cells[4:6], cells[6:8]]],
+    }
+
+
+def fast(cells):
+    problem = parse_problem(document(cells))
+    return [cell for matrix in problem.experts for row in matrix for cell in row]
+
+
+def reference(cells):
+    return [
+        reference_cell(cells[4 * e + 2 * i + j], f"experts[{e}][{i}][{j}]")
+        for e in range(2) for i in range(2) for j in range(2)
+    ]
+
+
+@settings(max_examples=300)
+@given(st.lists(cells, min_size=8, max_size=8))
+@example([[0.5, 0.5]] * 7 + [[1, 0]])
+@example([[-0.0, 0.5]] * 8)
+@example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4)
+def test_parse_matches_a_parser_that_checks_every_cell(cells):
+    assert outcome(fast, cells) == outcome(reference, cells)
+
+
+def test_json_negative_zero_keeps_its_sign():
+    doc = json.dumps(document([[0.5, 0.5]] * 7 + [[0.5, -0.0]]))
+    assert "-0.0" in doc
+    cell = parse_problem(doc).experts[1][1][1]
+    assert math.copysign(1.0, cell.nu) == -1.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cpfs import ParseError, case_study_path, collections_path, load_case_study, solve
+from cpfs import DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
 from cpfs.cli import main
 from cpfs.serialize import (
     dump_problem,
@@ -96,7 +96,7 @@ class TestParseCollections:
 
 class TestParseConfig:
     def test_keys_present_are_returned(self):
-        doc = '{"operator": "q", "precision": 3, "aggregate_precision": null, "note": 1}'
+        doc = '{"operator": "q", "precision": 3, "aggregate_precision": null}'
         assert parse_config(doc) == {"operator": "q", "precision": 3, "aggregate_precision": None}
 
     def test_empty_config(self):
@@ -134,6 +134,12 @@ class TestWriteSolveTables:
         assert lines[0] == "rank,alternative,score,tied"
         assert lines[1].startswith("1,A5,")
         assert lines[5].startswith("5,A1,")
+
+    def test_precision_above_the_bound_writes_nothing(self, tmp_path):
+        result = solve(load_case_study(), "cpwa_q")
+        with pytest.raises(DomainError, match="at most 27"):
+            write_solve_tables(result, tmp_path / "out", precision=28)
+        assert not (tmp_path / "out").exists()
 
     def test_result_document(self, tmp_path):
         result = solve(load_case_study(), "cpwg_q")
@@ -189,6 +195,11 @@ class TestCli:
             ('{"operator": ["cpwa_q"]}', "operator"),
             ('{"precision": 2', "invalid JSON"),
             ("[2]", "top level must be an object"),
+            ('{"precision": 28}', "precision"),
+            ('{"precision": 100000}', "precision"),
+            ('{"aggregate_precision": 40}', "aggregate_precision"),
+            ('{"precison": 3, "operater": "cpwg_p"}', "precison: unknown key"),
+            ('{"operator": "cpwa_q", "note": 1}', "note: unknown key"),
         ],
     )
     def test_solve_bad_config_is_located(self, tmp_path, capsys, config, location):
@@ -209,6 +220,26 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "--precision: must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--precision", "28"],
+            ["solve", "--precision", "40"],
+            ["fuse", "--input", str(collections_path()), "--precision", "28"],
+        ],
+    )
+    def test_precision_above_the_bound_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision: must be a non-negative integer at most 27" in capsys.readouterr().err
+
+    def test_largest_precision_solves(self, tmp_path, capsys):
+        assert main(["solve", "--precision", "27", "--out-dir", str(tmp_path)]) == 0
+        assert "ranking: A1 < A4 < A3 < A2 < A5" in capsys.readouterr().out
+        row = (tmp_path / "aggregated.csv").read_text().splitlines()[1].split(",")
+        assert [len(x.partition(".")[2]) for x in row[1:]] == [27, 27, 27]
 
     def test_solve_names_a_degenerate_alternative(self, tmp_path, capsys):
         doc = minimal_doc()
