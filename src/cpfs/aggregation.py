@@ -8,6 +8,10 @@ Two operators, each parameterised by a :class:`~cpfs.generators.GeneratorPair`:
 ``cpwa`` is the weighted arithmetic (addition-folding) operator, ``cpwg`` the
 weighted geometric (multiplication-folding) one; either equals the left fold
 of the corresponding pairwise operation over scalar multiples / powers.
+They are complement-duals, ``cpwg(values) = ~cpwa(~values)``, since the
+complement swaps ``mu`` and ``nu``.  Both call one kernel: ``cpwa`` with the
+membership/non-membership generators ``(h, g)``, ``cpwg`` with ``(g, h)``,
+so no value is complemented on the way.
 
 With the product family these reduce to
 
@@ -114,26 +118,27 @@ def _weighted(gen: Generator, xs: Sequence[float], ws: Sequence[float]) -> float
     return gen.inverse(total)
 
 
+def _weighted_mean(
+    values: Sequence[CPFV], w: WeightVector, mu_gen: Generator, nu_gen: Generator, r_gen: Generator
+) -> CPFV:
+    values, ws = _checked(values, w)
+    return CPFV.of(
+        _weighted(mu_gen, [v.mu for v in values], ws),
+        _weighted(nu_gen, [v.nu for v in values], ws),
+        _weighted(r_gen, [v.r for v in values], ws),
+    )
+
+
 def cpwa(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = None) -> CPFV:
     """Weighted arithmetic aggregation of circular values."""
-    values, ws = _checked(values, w)
     gens = gens if gens is not None else algebraic_pair()
-    return CPFV.of(
-        _weighted(gens.h, [v.mu for v in values], ws),
-        _weighted(gens.g, [v.nu for v in values], ws),
-        _weighted(gens.q, [v.r for v in values], ws),
-    )
+    return _weighted_mean(values, w, gens.h, gens.g, gens.q)
 
 
 def cpwg(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = None) -> CPFV:
-    """Weighted geometric aggregation of circular values."""
-    values, ws = _checked(values, w)
+    """Weighted geometric aggregation of circular values: ``~cpwa(~values)``."""
     gens = gens if gens is not None else algebraic_pair()
-    return CPFV.of(
-        _weighted(gens.g, [v.mu for v in values], ws),
-        _weighted(gens.h, [v.nu for v in values], ws),
-        _weighted(gens.q, [v.r for v in values], ws),
-    )
+    return _weighted_mean(values, w, gens.g, gens.h, gens.q)
 
 
 #: Identifiers of the four built-in operator variants.

@@ -17,6 +17,17 @@ through a generator.  ``add_general`` / ``multiply_general`` accept an
 arbitrary t-norm (the dual t-conorm is derived internally) plus any binary
 radius combiner on [0, 1].
 
+Every product-side operation is the complement-conjugate of its sum-side
+dual, because the complement only swaps ``mu`` and ``nu`` and leaves ``r``:
+
+    multiply(a, b)         = ~add(~a, ~b)
+    power(a, l)            = ~scalar_multiple(l, ~a)
+    multiply_minmax(a, b)  = ~add_minmax(~a, ~b)
+    multiply_general(a, b) = ~add_general(~a, ~b)
+
+So only the sum side is written out; the product side is defined through
+:meth:`~cpfs.values.CPFV.complement`, and the two agree bit for bit.
+
 Closure holds by construction: membership/non-membership outputs satisfy the
 quadratic constraint because ``T(mu_a, mu_b)**2 + S(nu_a, nu_b)**2 <= 1``
 whenever the inputs are valid, so result construction goes straight through
@@ -29,7 +40,7 @@ import math
 
 from .errors import NonPositiveScalar
 from .generators import BinaryOp, GeneratorPair, dual_tconorm
-from .values import CPFV, RadiusMode
+from .values import CPFV, RadiusMode, radius_mode_op
 
 __all__ = [
     "add",
@@ -62,12 +73,8 @@ def add(a: CPFV, b: CPFV, gens: GeneratorPair) -> CPFV:
 
 
 def multiply(a: CPFV, b: CPFV, gens: GeneratorPair) -> CPFV:
-    """Generator-based product of two circular values."""
-    return CPFV.of(
-        gens.g.combine(a.mu, b.mu),
-        gens.h.combine(a.nu, b.nu),
-        gens.q.combine(a.r, b.r),
-    )
+    """Generator-based product of two circular values: ``~add(~a, ~b)``."""
+    return add(a.complement(), b.complement(), gens).complement()
 
 
 def scalar_multiple(lam: float, a: CPFV, gens: GeneratorPair) -> CPFV:
@@ -81,13 +88,8 @@ def scalar_multiple(lam: float, a: CPFV, gens: GeneratorPair) -> CPFV:
 
 
 def power(a: CPFV, lam: float, gens: GeneratorPair) -> CPFV:
-    """Raise a value to a strictly positive scalar (repeated multiplication)."""
-    lam = _require_positive(lam)
-    return CPFV.of(
-        gens.g.scale(lam, a.mu),
-        gens.h.scale(lam, a.nu),
-        gens.q.scale(lam, a.r),
-    )
+    """Raise a value to a strictly positive scalar: ``~scalar_multiple(lam, ~a)``."""
+    return scalar_multiple(lam, a.complement(), gens).complement()
 
 
 def _prod_sum(x: float, y: float) -> float:
@@ -98,18 +100,12 @@ def _prod_sum(x: float, y: float) -> float:
 
 def add_minmax(a: CPFV, b: CPFV, radius_mode: RadiusMode = "min") -> CPFV:
     """Product-family center sum with min/max radius."""
-    if radius_mode not in ("min", "max"):
-        raise ValueError(f"radius_mode must be 'min' or 'max', got {radius_mode!r}")
-    r = min(a.r, b.r) if radius_mode == "min" else max(a.r, b.r)
-    return CPFV.of(_prod_sum(a.mu, b.mu), a.nu * b.nu, r)
+    return CPFV.of(_prod_sum(a.mu, b.mu), a.nu * b.nu, radius_mode_op(radius_mode)(a.r, b.r))
 
 
 def multiply_minmax(a: CPFV, b: CPFV, radius_mode: RadiusMode = "min") -> CPFV:
-    """Product-family center product with min/max radius."""
-    if radius_mode not in ("min", "max"):
-        raise ValueError(f"radius_mode must be 'min' or 'max', got {radius_mode!r}")
-    r = min(a.r, b.r) if radius_mode == "min" else max(a.r, b.r)
-    return CPFV.of(a.mu * b.mu, _prod_sum(a.nu, b.nu), r)
+    """Product-family center product with min/max radius: ``~add_minmax(~a, ~b)``."""
+    return add_minmax(a.complement(), b.complement(), radius_mode).complement()
 
 
 def add_general(a: CPFV, b: CPFV, tnorm: BinaryOp, radius_op: BinaryOp) -> CPFV:
@@ -117,7 +113,9 @@ def add_general(a: CPFV, b: CPFV, tnorm: BinaryOp, radius_op: BinaryOp) -> CPFV:
 
     ``S`` is the dual t-conorm of ``tnorm`` under the quadratic complement.
     ``radius_op`` may be any t-norm or t-conorm on [0, 1] (e.g. ``min`` or
-    ``max``).
+    ``max``).  ``S`` goes through ``sqrt(1 - x**2)``, which cancels: a
+    membership below about 1e-8 has a complement of exactly 1.0 and is lost,
+    which is why :func:`add_minmax` keeps its own closed form.
     """
     tconorm = dual_tconorm(tnorm)
     return CPFV.of(
@@ -129,9 +127,4 @@ def add_general(a: CPFV, b: CPFV, tnorm: BinaryOp, radius_op: BinaryOp) -> CPFV:
 
 def multiply_general(a: CPFV, b: CPFV, tnorm: BinaryOp, radius_op: BinaryOp) -> CPFV:
     """Product under an arbitrary t-norm ``T``: < T(mu), S(nu); radius_op(r) >."""
-    tconorm = dual_tconorm(tnorm)
-    return CPFV.of(
-        tnorm(a.mu, b.mu),
-        tconorm(a.nu, b.nu),
-        radius_op(a.r, b.r),
-    )
+    return add_general(a.complement(), b.complement(), tnorm, radius_op).complement()

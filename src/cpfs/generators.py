@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import UnknownGenerator
+from .errors import DomainError, UnknownGenerator
 
 __all__ = [
     "Generator",
@@ -119,7 +119,7 @@ def membership_side(g: Generator) -> Generator:
     whose closed form is numerically tighter near the boundary.
     """
     if g.increasing:
-        raise ValueError("membership_side expects a decreasing (t-norm kind) generator")
+        raise DomainError("membership_side expects a decreasing (t-norm kind) generator")
 
     def forward(t: float, _g: Callable[[float], float] = g.forward) -> float:
         return _g(math.sqrt(max(0.0, 1.0 - t * t)))
@@ -164,9 +164,9 @@ class GeneratorPair:
 
     def __post_init__(self) -> None:
         if self.g.increasing:
-            raise ValueError("g must be a decreasing (t-norm kind) generator")
+            raise DomainError("g must be a decreasing (t-norm kind) generator")
         if not self.h.increasing:
-            raise ValueError("h must be an increasing (t-conorm kind) generator")
+            raise DomainError("h must be an increasing (t-conorm kind) generator")
 
     @classmethod
     def from_tnorm_generator(cls, g: Generator, q: Generator | None = None) -> "GeneratorPair":
@@ -191,23 +191,15 @@ def pythagorean_complement(a: float) -> float:
 def tnorm_from_generator(gen: Generator) -> BinaryOp:
     """The t-norm T(x, y) = gen_inv(gen(x) + gen(y)) of a decreasing generator."""
     if gen.increasing:
-        raise ValueError("tnorm_from_generator expects a decreasing generator")
-
-    def tnorm(x: float, y: float) -> float:
-        return gen.combine(x, y)
-
-    return tnorm
+        raise DomainError("tnorm_from_generator expects a decreasing generator")
+    return gen.combine
 
 
 def tconorm_from_generator(gen: Generator) -> BinaryOp:
     """The t-conorm induced by an increasing generator, same composition rule."""
     if not gen.increasing:
-        raise ValueError("tconorm_from_generator expects an increasing generator")
-
-    def tconorm(x: float, y: float) -> float:
-        return gen.combine(x, y)
-
-    return tconorm
+        raise DomainError("tconorm_from_generator expects an increasing generator")
+    return gen.combine
 
 
 def dual_tconorm(tnorm: BinaryOp) -> BinaryOp:

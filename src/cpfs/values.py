@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .errors import (
     ConstraintViolation,
+    DomainError,
     OutOfRange,
     RadiusOutOfRange,
     UniverseMismatch,
@@ -141,24 +142,15 @@ class CPFV:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.center.mu, self.center.nu, self.r)
 
-
-def validate_pfv(mu: float, nu: float) -> PFV:
-    """Validate components and return a :class:`PFV`.
-
-    Raises :class:`~cpfs.errors.OutOfRange` if a component leaves [0, 1] and
-    :class:`~cpfs.errors.ConstraintViolation` if the quadratic sum exceeds
-    the slack-extended bound.
-    """
-    return PFV(mu, nu)
+    def complement(self) -> "CPFV":
+        """Swap the center's membership and non-membership; radius unchanged."""
+        return CPFV(self.center.complement(), self.r)
 
 
-def validate_cpfv(mu: float, nu: float, r: float) -> CPFV:
-    """Validate components and return a :class:`CPFV`.
-
-    Raises as :func:`validate_pfv`, plus
-    :class:`~cpfs.errors.RadiusOutOfRange` for a radius outside [0, 1].
-    """
-    return CPFV.of(mu, nu, r)
+#: The validating constructors under their functional names: they raise
+#: OutOfRange, ConstraintViolation or RadiusOutOfRange.
+validate_pfv = PFV
+validate_cpfv = CPFV.of
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,17 +196,18 @@ def _paired(a: CPFS, b: CPFS) -> list[tuple[str, CPFV, CPFV]]:
     return [(label, x, y) for (label, x), (_, y) in zip(a.elements, b.elements)]
 
 
-def _mode_pick(mode: RadiusMode, x: float, y: float) -> float:
+def radius_mode_op(mode: RadiusMode) -> Callable[[float, float], float]:
+    """The radius combiner a radius mode names: ``min`` or ``max``."""
     if mode == "min":
-        return min(x, y)
+        return min
     if mode == "max":
-        return max(x, y)
-    raise ValueError(f"radius_mode must be 'min' or 'max', got {mode!r}")
+        return max
+    raise DomainError(f"radius_mode must be 'min' or 'max', got {mode!r}")
 
 
 def complement(a: CPFS) -> CPFS:
     """Swap membership and non-membership of every element; radii unchanged."""
-    return CPFS(tuple((label, CPFV(v.center.complement(), v.r)) for label, v in a))
+    return CPFS(tuple((label, v.complement()) for label, v in a))
 
 
 def subset(a: CPFS, b: CPFS) -> bool:
@@ -237,19 +230,15 @@ def equal(a: CPFS, b: CPFS) -> bool:
 
 def union(a: CPFS, b: CPFS, radius_mode: RadiusMode = "min") -> CPFS:
     """Elementwise ``(max(mu), min(nu))`` with the chosen radius mode."""
+    pick = radius_mode_op(radius_mode)
     return CPFS(
         tuple(
-            (label, CPFV.of(max(x.mu, y.mu), min(x.nu, y.nu), _mode_pick(radius_mode, x.r, y.r)))
+            (label, CPFV.of(max(x.mu, y.mu), min(x.nu, y.nu), pick(x.r, y.r)))
             for label, x, y in _paired(a, b)
         )
     )
 
 
 def intersect(a: CPFS, b: CPFS, radius_mode: RadiusMode = "min") -> CPFS:
-    """Elementwise ``(min(mu), max(nu))`` with the chosen radius mode."""
-    return CPFS(
-        tuple(
-            (label, CPFV.of(min(x.mu, y.mu), max(x.nu, y.nu), _mode_pick(radius_mode, x.r, y.r)))
-            for label, x, y in _paired(a, b)
-        )
-    )
+    """Elementwise ``(min(mu), max(nu))``: the complement-dual of :func:`union`."""
+    return complement(union(complement(a), complement(b), radius_mode))

@@ -9,8 +9,20 @@ import math
 import random
 from pathlib import Path
 
-from cpfs import CPFV, PFV, CircularFuzzyError, ParseError, format_fixed
+from cpfs import (
+    CPFS,
+    CPFV,
+    PFV,
+    CircularFuzzyError,
+    ParseError,
+    algebraic_pair,
+    dual_tconorm,
+    format_fixed,
+)
+from cpfs.aggregation import _checked, _weighted
+from cpfs.algebra import _require_positive
 from cpfs.serialize import result_to_dict
+from cpfs.values import _paired
 
 __all__ = [
     "make_rng",
@@ -21,6 +33,12 @@ __all__ = [
     "all_pairs_ranking",
     "reference_cell",
     "reference_solve_tables",
+    "reference_multiply",
+    "reference_power",
+    "reference_multiply_minmax",
+    "reference_multiply_general",
+    "reference_cpwg",
+    "reference_intersect",
 ]
 
 
@@ -169,3 +187,68 @@ def reference_solve_tables(result, out: Path, precision: int = 2) -> None:
     )
     doc = json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
     (out / "result.json").write_text(doc, encoding="utf-8")
+
+
+# The product-side operations as they were written out before they were
+# derived from their sum-side duals through the complement; kept as the
+# references the derived forms must equal bit for bit.
+
+
+def reference_multiply(a, b, gens) -> CPFV:
+    return CPFV.of(
+        gens.g.combine(a.mu, b.mu),
+        gens.h.combine(a.nu, b.nu),
+        gens.q.combine(a.r, b.r),
+    )
+
+
+def reference_power(a, lam, gens) -> CPFV:
+    lam = _require_positive(lam)
+    return CPFV.of(
+        gens.g.scale(lam, a.mu),
+        gens.h.scale(lam, a.nu),
+        gens.q.scale(lam, a.r),
+    )
+
+
+def reference_multiply_minmax(a, b, radius_mode="min") -> CPFV:
+    if radius_mode not in ("min", "max"):
+        raise ValueError(f"radius_mode must be 'min' or 'max', got {radius_mode!r}")
+    r = min(a.r, b.r) if radius_mode == "min" else max(a.r, b.r)
+    xx, yy = a.nu * a.nu, b.nu * b.nu
+    return CPFV.of(a.mu * b.mu, math.sqrt(max(0.0, xx + yy - xx * yy)), r)
+
+
+def reference_multiply_general(a, b, tnorm, radius_op) -> CPFV:
+    tconorm = dual_tconorm(tnorm)
+    return CPFV.of(
+        tnorm(a.mu, b.mu),
+        tconorm(a.nu, b.nu),
+        radius_op(a.r, b.r),
+    )
+
+
+def reference_cpwg(values, w, gens=None) -> CPFV:
+    values, ws = _checked(values, w)
+    gens = gens if gens is not None else algebraic_pair()
+    return CPFV.of(
+        _weighted(gens.g, [v.mu for v in values], ws),
+        _weighted(gens.h, [v.nu for v in values], ws),
+        _weighted(gens.q, [v.r for v in values], ws),
+    )
+
+
+def reference_intersect(a, b, radius_mode="min") -> CPFS:
+    def pick(x, y):
+        if radius_mode == "min":
+            return min(x, y)
+        if radius_mode == "max":
+            return max(x, y)
+        raise ValueError(f"radius_mode must be 'min' or 'max', got {radius_mode!r}")
+
+    return CPFS(
+        tuple(
+            (label, CPFV.of(min(x.mu, y.mu), max(x.nu, y.nu), pick(x.r, y.r)))
+            for label, x, y in _paired(a, b)
+        )
+    )

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 
 from cpfs import (
     CPFV,
+    DomainError,
     NonPositiveScalar,
     add,
     add_general,
@@ -205,6 +206,22 @@ class TestMinMaxVariants:
     def test_full_membership_product(self):
         out = multiply_minmax(CPFV.of(1, 0, 0.3), CPFV.of(1, 0, 0.7), "min")
         assert out.as_tuple() == (1.0, 0.0, 0.3)
+
+    @pytest.mark.parametrize("op", [add_minmax, multiply_minmax])
+    @pytest.mark.parametrize("mode", ["bogus", "avg", "MIN", None])
+    def test_bad_mode(self, op, mode):
+        with pytest.raises(DomainError):
+            op(A, B, mode)
+
+    @pytest.mark.parametrize(
+        "x, y", [(1e-9, 2e-9), (1e-9, 0.0), (3e-10, 7e-9), (1e-12, 1e-12), (5e-9, 5e-9)]
+    )
+    def test_sum_keeps_tiny_memberships(self, x, y):
+        # add_general's dual t-conorm passes through sqrt(1 - x**2), which is
+        # exactly 1.0 here, and returns 0; the closed form keeps the value.
+        out = add_minmax(CPFV.of(x, 0.5, 0.2), CPFV.of(y, 0.5, 0.3))
+        want = _dual_sum(x, y)
+        assert abs(mpf(out.mu) - want) <= 4 * mpf(2) ** -52 * want
 
     def test_commutativity(self):
         rng = make_rng(28)

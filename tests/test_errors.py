@@ -1,0 +1,46 @@
+"""Every error the package raises derives from CircularFuzzyError."""
+
+import pytest
+
+from cpfs import (
+    CPFS,
+    CPFV,
+    CircularFuzzyError,
+    DomainError,
+    GeneratorPair,
+    add_minmax,
+    algebraic_dual_generator,
+    algebraic_generator,
+    intersect,
+    membership_side,
+    multiply_minmax,
+    tconorm_from_generator,
+    tnorm_from_generator,
+    union,
+)
+from cpfs.values import radius_mode_op
+
+A = CPFV.of(0.6, 0.5, 0.2)
+S = CPFS((("x", A),))
+G, H = algebraic_generator(), algebraic_dual_generator()
+
+DOMAIN_ERRORS = {
+    "radius_mode_op": lambda: radius_mode_op("median"),
+    "union": lambda: union(S, S, "median"),
+    "intersect": lambda: intersect(S, S, "median"),
+    "add_minmax": lambda: add_minmax(A, A, "median"),
+    "multiply_minmax": lambda: multiply_minmax(A, A, "median"),
+    "membership_side": lambda: membership_side(H),
+    "GeneratorPair.g": lambda: GeneratorPair(g=H, h=H, q=G),
+    "GeneratorPair.h": lambda: GeneratorPair(g=G, h=G, q=G),
+    "tnorm_from_generator": lambda: tnorm_from_generator(H),
+    "tconorm_from_generator": lambda: tconorm_from_generator(G),
+}
+
+
+@pytest.mark.parametrize("call", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
+def test_domain_errors_are_in_the_hierarchy(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert isinstance(info.value, CircularFuzzyError)
+    assert isinstance(info.value, ValueError)

@@ -8,6 +8,7 @@ from cpfs import (
     CPFV,
     PFV,
     ConstraintViolation,
+    DomainError,
     OutOfRange,
     RadiusOutOfRange,
     UniverseMismatch,
@@ -235,6 +236,13 @@ class TestUnionIntersect:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             union(set_a(), set_b(), "median")
+
+    @pytest.mark.parametrize("op", [union, intersect])
+    @pytest.mark.parametrize("mode", ["bogus", "avg", "MIN", None])
+    def test_bad_mode_on_empty_sets(self, op, mode):
+        # checked before pairing, so no element is needed to reject it
+        with pytest.raises(DomainError):
+            op(CPFS(()), CPFS(()), mode)
 
     def test_results_remain_valid_on_random_pairs(self):
         # max/min recombination must never violate the value invariants
