@@ -31,6 +31,7 @@ from typing import Literal, Sequence
 
 from .aggregation import AggregationOperator, OPERATOR_NAMES, WeightVector, make_operator
 from .errors import (
+    ConstraintViolation,
     DegenerateCenter,
     DimensionMismatch,
     DomainError,
@@ -42,7 +43,8 @@ from .fusion import build_circular_matrix
 from .generators import GeneratorPair
 from .rounding import round_half_up
 from .similarity import csm_to_ideal
-from .values import CPFV, PFV
+from . import values
+from .values import CPFV, PFV, _shared_pfv
 
 __all__ = [
     "Polarity",
@@ -189,25 +191,36 @@ class PipelineResult:
 def normalize(problem: DecisionProblem) -> DecisionProblem:
     """Swap components of every entry under a cost criterion.
 
-    Involutive; benefit criteria pass through untouched.
+    Involutive; benefit criteria pass through untouched.  Each swapped entry
+    equals ``cell.complement()`` bit for bit, but equal swapped entries may
+    be one object: each distinct value is built once per call, up to the
+    bound of the sharing table (see :func:`~cpfs.values._shared_pfv`).
     """
     is_cost = [p == "cost" for p in problem.polarity]
-    experts = tuple(
-        tuple(
-            tuple(cell.complement() if is_cost[j] else cell for j, cell in enumerate(row))
-            for row in matrix
+    table: dict = {}
+    experts = []
+    for matrix in problem.experts:
+        rows = []
+        for row in matrix:
+            if len(table) < values._SHARED_MAX:
+                cells = [_shared_pfv(table, c.nu, c.mu) if cost else c for c, cost in zip(row, is_cost)]
+            else:  # Nothing more is shared; the helper per cell cost 15% on input without repeats.
+                cells = [c.complement() if cost else c for c, cost in zip(row, is_cost)]
+            rows.append(tuple(cells))
+        experts.append(tuple(rows))
+    return replace(problem, experts=tuple(experts))
+
+
+def _quantize(label: str, v: CPFV, digits: int) -> CPFV:
+    try:
+        return CPFV.of(
+            round_half_up(v.mu, digits),
+            round_half_up(v.nu, digits),
+            round_half_up(v.r, digits),
         )
-        for matrix in problem.experts
-    )
-    return replace(problem, experts=experts)
-
-
-def _quantize(v: CPFV, digits: int) -> CPFV:
-    return CPFV.of(
-        round_half_up(v.mu, digits),
-        round_half_up(v.nu, digits),
-        round_half_up(v.r, digits),
-    )
+    except ConstraintViolation as err:
+        # Rounding half-up can carry a value on the unit circle out of the disc.
+        raise ConstraintViolation(f"alternative {label!r}: {err}") from err
 
 
 def _score(label: str, v: CPFV) -> float:
@@ -245,7 +258,10 @@ def solve(
     if aggregate_precision is None:
         scored = aggregated
     else:
-        scored = tuple(_quantize(v, aggregate_precision) for v in aggregated)
+        scored = tuple(
+            _quantize(label, v, aggregate_precision)
+            for label, v in zip(problem.alternatives, aggregated)
+        )
     similarities = tuple(_score(label, v) for label, v in zip(problem.alternatives, scored))
     ranking = Ranking.from_scores(problem.alternatives, similarities)
     return PipelineResult(

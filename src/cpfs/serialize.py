@@ -27,6 +27,7 @@ formatting, ``\n`` line endings.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -34,7 +35,7 @@ from typing import Any, Callable, Iterable, Sequence
 from .errors import CircularFuzzyError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
-from .values import PFV
+from .values import PFV, _shared_pfv
 from .aggregation import WeightVector
 
 __all__ = [
@@ -56,7 +57,7 @@ def _decode(document: str | dict, source: str | None) -> Any:
         return document
     try:
         return json.loads(document)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer literal over the digit limit
         raise ParseError(f"invalid JSON: {e}", source=source) from e
 
 
@@ -66,8 +67,21 @@ def _as_list(node: Any, where: str, source: str | None) -> list:
     return node
 
 
-def _as_pfv(node: Any, where: Callable[[], str], source: str | None) -> PFV:
-    """The point value of a ``[mu, nu]`` cell; ``where()`` names the cell in an error."""
+def _as_label(node: Any, where: str, source: str | None) -> str:
+    """``str(node)``, as text the output files and stdout can encode."""
+    label = str(node)
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate, which JSON can escape
+        raise ParseError(f"label is not valid text: {e.reason}", location=where, source=source) from e
+    return label
+
+
+def _as_pfv(node: Any, where: Callable[[], str], source: str | None, table: dict) -> PFV:
+    """The point value of a ``[mu, nu]`` cell; ``where()`` names the cell in an error.
+
+    ``table`` is the document's sharing table: equal cells become one value.
+    """
     # A pair of exact floats skips the list and number checks: float(x) is x.
     if type(node) is list and len(node) == 2 and type(node[0]) is float and type(node[1]) is float:
         mu, nu = node
@@ -82,9 +96,12 @@ def _as_pfv(node: Any, where: Callable[[], str], source: str | None) -> PFV:
                 raise ParseError(
                     f"expected a number, got {x!r}", location=f"{where()}[{k}]", source=source
                 )
-        mu, nu = float(pair[0]), float(pair[1])
+        try:
+            mu, nu = float(pair[0]), float(pair[1])
+        except OverflowError as err:  # an integer beyond the float range
+            raise ParseError(str(err), location=where(), source=source) from err
     try:
-        return PFV(mu, nu)
+        return _shared_pfv(table, mu, nu)
     except CircularFuzzyError as err:
         raise ParseError(str(err), location=where(), source=source) from err
 
@@ -99,8 +116,14 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         if field not in data:
             raise ParseError("missing required field", location=field, source=source)
 
-    alternatives = [str(x) for x in _as_list(data["alternatives"], "alternatives", source)]
-    criteria = [str(x) for x in _as_list(data["criteria"], "criteria", source)]
+    alternatives = [
+        _as_label(x, f"alternatives[{i}]", source)
+        for i, x in enumerate(_as_list(data["alternatives"], "alternatives", source))
+    ]
+    criteria = [
+        _as_label(x, f"criteria[{i}]", source)
+        for i, x in enumerate(_as_list(data["criteria"], "criteria", source))
+    ]
 
     polarity = []
     for j, p in enumerate(_as_list(data["polarity"], "polarity", source)):
@@ -113,16 +136,17 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
     raw_weights = _as_list(data["weights"], "weights", source)
     try:
         weights = WeightVector(tuple(float(w) for w in raw_weights))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(str(e), location="weights", source=source) from e
 
     experts = []
+    table: dict = {}
     for e, matrix in enumerate(_as_list(data["experts"], "experts", source)):
         rows = []
         for i, row in enumerate(_as_list(matrix, f"experts[{e}]", source)):
             cells = []
             for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", source)):
-                cells.append(_as_pfv(cell, lambda: f"experts[{e}][{i}][{j}]", source))
+                cells.append(_as_pfv(cell, lambda: f"experts[{e}][{i}][{j}]", source, table))
             rows.append(tuple(cells))
         experts.append(tuple(rows))
 
@@ -170,14 +194,15 @@ def parse_collections(
         raise ParseError("top level must be an object with an 'elements' field", source=source)
 
     out: list[tuple[str, list[PFV]]] = []
+    table: dict = {}
     for i, element in enumerate(_as_list(data["elements"], "elements", source)):
         where = f"elements[{i}]"
         if not isinstance(element, dict) or "values" not in element:
             raise ParseError("expected an object with a 'values' field", location=where, source=source)
-        label = str(element.get("label", f"x{i + 1}"))
+        label = _as_label(element.get("label", f"x{i + 1}"), f"{where}.label", source)
         values = []
         for j, cell in enumerate(_as_list(element["values"], f"{where}.values", source)):
-            values.append(_as_pfv(cell, lambda: f"{where}.values[{j}]", source))
+            values.append(_as_pfv(cell, lambda: f"{where}.values[{j}]", source, table))
         if not values:
             raise ParseError("collection must be non-empty", location=f"{where}.values", source=source)
         out.append((label, values))
@@ -259,6 +284,20 @@ class _Formatted(dict):
         return s
 
 
+def _csv_fields(labels: Sequence[str]) -> list[str]:
+    """Each label as ``csv.writer`` writes it as one field of a row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for label in labels:
+        # A second, empty field: csv quotes a row's only field when it is empty.
+        writer.writerow((label, ""))
+        fields.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return fields
+
+
 def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: int = 2) -> dict[str, Path]:
     """Write every pipeline table as CSV plus a JSON result document.
 
@@ -283,16 +322,18 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
             writer.writerows(rows)
         files[name] = path
 
-    emit(
-        "normalized_matrix",
-        ["expert", "alternative", "criterion", "mu", "nu"],
-        (
-            (e + 1, alts[i], crits[j], fmt[cell.mu], fmt[cell.nu])
-            for e, matrix in enumerate(result.normalized.experts)
-            for i, row in enumerate(matrix)
-            for j, cell in enumerate(row)
-        ),
-    )
+    # The largest table is written a line at a time, with each label quoted once.
+    path = out / "normalized_matrix.csv"
+    quoted_alts, quoted_crits = _csv_fields(alts), _csv_fields(crits)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("expert,alternative,criterion,mu,nu\n")
+        for e, matrix in enumerate(result.normalized.experts, 1):
+            for alt, row in zip(quoted_alts, matrix):
+                fh.write("".join([
+                    f"{e},{alt},{crit},{fmt[cell.mu]},{fmt[cell.nu]}\n"
+                    for crit, cell in zip(quoted_crits, row)
+                ]))
+    files["normalized_matrix"] = path
     emit(
         "fused_centers",
         ["alternative", "criterion", "mu", "nu"],

@@ -19,7 +19,10 @@ Conventions:
   given, never clamped.
 - All set operations preserve element order, so emitted tables are
   deterministic.
-- Everything here is an immutable value; all functions are pure.
+- Everything here is an immutable value; all functions are pure.  Equal
+  values may be one object: parsing and normalization build each distinct
+  point value once (see :func:`_shared_pfv`), so compare values with ``==``,
+  never with ``is``.
 """
 
 from __future__ import annotations
@@ -145,6 +148,31 @@ class CPFV:
     def complement(self) -> "CPFV":
         """Swap the center's membership and non-membership; radius unchanged."""
         return CPFV(self.center.complement(), self.r)
+
+
+#: Distinct pairs a sharing table holds before :func:`_shared_pfv` stops
+#: looking values up.  Above the 7,754 points of the two-decimal grid with
+#: both components non-zero, so a problem on that grid never fills it; a
+#: full table means the input repeats too little for sharing to pay.
+_SHARED_MAX = 8192
+
+
+def _shared_pfv(table: dict[complex, PFV], mu: float, nu: float) -> PFV:
+    """``PFV(mu, nu)``, built once per distinct pair held in ``table``.
+
+    ``table`` belongs to one call (one document, one normalization); equal
+    pairs then share one validated object.  The key ``complex(mu, nu)`` is
+    exact, and the GC does not track it.  A pair with a zero component is
+    never shared: ``0.0 == -0.0`` and both hash alike, so sharing would lose
+    the sign of ``-0.0``.  A pair the constructor rejects is never stored.
+    """
+    if mu and nu and len(table) < _SHARED_MAX:
+        key = complex(mu, nu)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = PFV(mu, nu)
+        return value
+    return PFV(mu, nu)
 
 
 #: The validating constructors under their functional names: they raise

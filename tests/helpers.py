@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import importlib.util
 import io
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 from cpfs import (
@@ -31,6 +34,8 @@ __all__ = [
     "grow",
     "assert_cpfv_close",
     "all_pairs_ranking",
+    "perfbench_gen",
+    "reference_normalize",
     "reference_cell",
     "reference_solve_tables",
     "reference_multiply",
@@ -99,6 +104,33 @@ def all_pairs_ranking(labels, scores) -> list[tuple[str, float, bool]]:
     order = sorted(range(n), key=lambda i: -scores[i])
     tied = [any(i != j and scores[i] == scores[j] for j in range(n)) for i in range(n)]
     return [(labels[i], scores[i], tied[i]) for i in order]
+
+
+def perfbench_gen(monkeypatch):
+    """The benchmark's seeded problem generator, ``perfbench/gen.py``, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def reference_normalize(problem):
+    """``normalize`` with ``cell.complement()`` built for every cost cell.
+
+    ``normalize`` before it shared equal swapped cells; kept as the
+    reference its values must equal bit for bit.
+    """
+    is_cost = [p == "cost" for p in problem.polarity]
+    experts = tuple(
+        tuple(
+            tuple(cell.complement() if is_cost[j] else cell for j, cell in enumerate(row))
+            for row in matrix
+        )
+        for matrix in problem.experts
+    )
+    return dataclasses.replace(problem, experts=experts)
 
 
 def reference_cell(node, where: str) -> PFV:

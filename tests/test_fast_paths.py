@@ -1,16 +1,21 @@
 """The two fast paths of ``cpfs.serialize`` against their references.
 
-``write_solve_tables`` formats each distinct value once; its files must equal
-those of a writer that formats every cell.  ``parse_problem`` takes pairs of
-floats without the per-item checks; it must accept and reject the same
+``write_solve_tables`` formats each distinct value once and writes the
+normalized matrix a line at a time, quoting each label once; its files must
+equal those of a writer that formats every cell and writes every row through
+``csv.writer``, whatever the labels hold.  ``parse_problem`` and
+``parse_collections`` take pairs of floats without the per-item checks and
+build each distinct pair once; they must accept and reject the same
 documents, with the same values and the same located errors, as a parser
-that checks every cell.
+that checks every cell, whether or not the sharing table fills.
 """
 
 import json
 import math
 import tempfile
+from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +30,8 @@ from cpfs import (
     Ranking,
     WeightVector,
 )
-from cpfs.serialize import parse_problem, write_solve_tables
+from cpfs import values
+from cpfs.serialize import parse_collections, parse_problem, write_solve_tables
 from helpers import reference_cell, reference_solve_tables
 
 # Repeats, both zeros, half-up ties at two and three decimals, and a value
@@ -33,6 +39,14 @@ from helpers import reference_cell, reference_solve_tables
 UNIT_POOL = [0.0, -0.0, 0.5, 0.125, 0.005, 0.0125, 0.045, 1.0, 1e-9, 1 / 3, 0.999999999]
 unit = st.one_of(st.sampled_from(UNIT_POOL), st.floats(0.0, 1.0))
 pfvs = st.tuples(unit, unit).filter(lambda p: p[0] * p[0] + p[1] * p[1] <= 1.0).map(lambda p: PFV(*p))
+# Labels the csv module must quote or keep as they are: delimiters, quotes,
+# line breaks, empty text, outer spaces and non-ASCII text.
+CSV_SPECIAL = ["a,b", 'say "hi"', '"', "cr\rx", "lf\nx", "\r\n", "", " lead", "trail ", "ünï", "Ω,\"", "A1"]
+labels = st.one_of(
+    st.sampled_from(CSV_SPECIAL),
+    st.text(st.sampled_from(',"\r\n aé\u2028\t'), max_size=4),
+    st.text(max_size=3),
+)
 
 
 @st.composite
@@ -40,8 +54,8 @@ def results(draw):
     k = draw(st.integers(1, 2))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
-    alts = tuple(f"A{i + 1}" for i in range(n))
-    crits = tuple(f"C{j + 1}" for j in range(m))
+    alts = tuple(draw(st.lists(labels, min_size=n, max_size=n, unique=True)))
+    crits = tuple(draw(st.lists(labels, min_size=m, max_size=m, unique=True)))
 
     def problem():
         return DecisionProblem(
@@ -124,6 +138,23 @@ def outcome(parse, cells):
         return str(err)
 
 
+def shared_as_expected(parsed, bound):
+    """Equal non-zero pairs are one object while the table has room for
+    ``bound`` pairs; a pair with a zero component is never shared."""
+    groups = defaultdict(list)
+    for c in parsed:
+        groups[c.mu.hex(), c.nu.hex()].append(id(c))
+    shared = 0
+    for (mu, nu), ids in groups.items():
+        objects = len(set(ids))
+        if not (float.fromhex(mu) and float.fromhex(nu)):
+            assert objects == len(ids)
+        elif len(groups) <= bound:
+            assert objects == 1
+        shared += objects < len(ids)
+    assert shared <= bound
+
+
 def document(cells):
     return {
         "alternatives": ["A1", "A2"],
@@ -146,13 +177,36 @@ def reference(cells):
     ]
 
 
+def fast_collections(cells):
+    doc = {"elements": [{"label": "x", "values": cells[:3]}, {"values": cells[3:]}]}
+    return [v for _, vs in parse_collections(doc) for v in vs]
+
+
+def reference_collections(cells):
+    return [reference_cell(c, f"elements[0].values[{j}]") for j, c in enumerate(cells[:3])] + [
+        reference_cell(c, f"elements[1].values[{j}]") for j, c in enumerate(cells[3:])
+    ]
+
+
+# Bounds on the sharing table: full before the first cell, after one or two
+# distinct pairs, and the real bound, which eight cells never reach.
+bounds = st.sampled_from([0, 1, 2, values._SHARED_MAX])
+
+
 @settings(max_examples=300)
-@given(st.lists(cells, min_size=8, max_size=8))
-@example([[0.5, 0.5]] * 7 + [[1, 0]])
-@example([[-0.0, 0.5]] * 8)
-@example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4)
-def test_parse_matches_a_parser_that_checks_every_cell(cells):
-    assert outcome(fast, cells) == outcome(reference, cells)
+@given(st.lists(cells, min_size=8, max_size=8), bounds)
+@example([[0.5, 0.5]] * 7 + [[1, 0]], values._SHARED_MAX)
+@example([[-0.0, 0.5]] * 8, values._SHARED_MAX)
+@example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4, values._SHARED_MAX)
+@example([[0.5, 0.5], [0.9, 0.9]] * 4, 1)
+@example([[0.25, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.25, 0.5]] * 2, 1)
+def test_parse_matches_a_parser_that_checks_every_cell(cells, bound):
+    with mock.patch.object(values, "_SHARED_MAX", bound):
+        for parse, ref in ((fast, reference), (fast_collections, reference_collections)):
+            got = outcome(parse, cells)
+            assert got == outcome(ref, cells)
+            if not isinstance(got, str):
+                shared_as_expected(parse(cells), bound)
 
 
 def test_json_negative_zero_keeps_its_sign():

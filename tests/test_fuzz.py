@@ -1,0 +1,110 @@
+"""Mutated input documents end in a ``ParseError``, never a traceback.
+
+Each test mutates a bundled document (the case-study problem, the point-value
+collections, a config): it replaces, deletes or duplicates a node anywhere
+in the tree, or perturbs a number.  The matching ``parse_*`` function must
+return or raise ``ParseError`` and nothing else, and ``cpfs`` must exit with
+status 0 or 2.
+"""
+
+import copy
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cpfs import ParseError, case_study_path, collections_path
+from cpfs.cli import main
+from cpfs.serialize import parse_collections, parse_config, parse_problem
+
+PROBLEM = json.loads(case_study_path().read_text(encoding="utf-8"))
+COLLECTIONS = json.loads(collections_path().read_text(encoding="utf-8"))
+CONFIG = {"operator": "cpwg_p", "precision": 3, "aggregate_precision": 2}
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+        st.sampled_from([
+            "benefit", "cost", "cpwa_q", "label", "values", 0.0, -0.0, 1.0, 0.5,
+            10**400, -(10**400), "\ud800",
+        ]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def children(node):
+    if isinstance(node, dict):
+        return list(node)
+    if isinstance(node, list):
+        return list(range(len(node)))
+    return []
+
+
+@st.composite
+def mutated(draw, document):
+    """A deep copy of ``document`` with one to three mutations."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        # Walk down a random path; stop at a leaf or when the draw says so.
+        while children(node) and (parent is None or draw(st.booleans())):
+            parent, key = node, draw(st.sampled_from(children(node)))
+            node = node[key]
+        if parent is None:
+            continue
+        action = draw(st.sampled_from(["replace", "delete", "duplicate", "perturb"]))
+        if action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        elif action == "perturb" and type(node) in (int, float) and abs(node) < 1e6:
+            parent[key] = draw(st.sampled_from([
+                -node, node * 2, node + 1e-9, node - 1e-9, node + 1, float(node), int(node),
+                10**400,
+            ]))
+    return doc
+
+
+def parses_or_parse_error(parse, doc):
+    try:
+        parse(doc)
+    except ParseError:
+        pass
+
+
+fuzz = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@fuzz
+@given(mutated(PROBLEM))
+def test_mutated_problem(tmp_path_factory, doc):
+    parses_or_parse_error(parse_problem, doc)
+    parses_or_parse_error(parse_problem, json.dumps(doc))
+    path = tmp_path_factory.mktemp("problem") / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--input", str(path)]) in (0, 2)
+    assert main(["solve", "--input", str(path), "--out-dir", str(path.parent / "out")]) in (0, 2)
+
+
+@fuzz
+@given(mutated(COLLECTIONS))
+def test_mutated_collections(tmp_path_factory, doc):
+    parses_or_parse_error(parse_collections, doc)
+    path = tmp_path_factory.mktemp("collections") / "collections.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["fuse", "--input", str(path)]) in (0, 2)
+
+
+@fuzz
+@given(mutated(CONFIG))
+def test_mutated_config(tmp_path_factory, doc):
+    parses_or_parse_error(parse_config, doc)
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "--config", str(path)]) in (0, 2)

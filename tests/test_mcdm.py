@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from cpfs import (
     CPFV,
+    ConstraintViolation,
     DecisionProblem,
     DegenerateCenter,
     DimensionMismatch,
@@ -27,7 +28,8 @@ from cpfs import (
     solve,
 )
 import expected_case_study as ref
-from helpers import all_pairs_ranking
+from cpfs.serialize import parse_problem
+from helpers import all_pairs_ranking, perfbench_gen
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +228,17 @@ class TestSolve:
         cells = [[(0.5, 0.5), (0.6, 0.4)], [(0.0, 0.0), (0.0, 0.0)]]
         with pytest.raises(DegenerateCenter, match="alternative 'A2'"):
             solve(small_problem(cells), operator)
+
+    @pytest.mark.parametrize("operator", ["cpwa_q", "cpwa_p"])
+    def test_rounding_off_the_disc_names_the_alternative(self, operator, monkeypatch):
+        # A285 aggregates to about (0.84751, 0.52514), on the unit circle;
+        # half-up to two decimals that is (0.85, 0.53), outside the disc.
+        gen = perfbench_gen(monkeypatch)
+        doc = gen.generate(gen.Params(3, 600, 5, boundary_frac=0.1, zero_weight=True), 11)
+        problem = parse_problem(doc)
+        with pytest.raises(ConstraintViolation, match=r"alternative 'A285': .* got 1\.0034 "):
+            solve(problem, operator)
+        assert solve(problem, operator, aggregate_precision=None).ranking
 
 
 class TestRanking:

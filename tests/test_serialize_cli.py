@@ -4,6 +4,7 @@ import pytest
 
 from cpfs import DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
 from cpfs.cli import main
+from helpers import perfbench_gen
 from cpfs.serialize import (
     dump_problem,
     load_problem,
@@ -78,6 +79,32 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_problem("{not json", source="broken.json")
 
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [
+            (("weights", 0), 10**400, "weights"),
+            (("experts", 0, 1, 0), [10**400, 0.5], r"experts\[0\]\[1\]\[0\]"),
+            (("experts", 1, 0, 1), [0.5, -(10**400)], r"experts\[1\]\[0\]\[1\]"),
+            (("alternatives", 1), "A\ud800", r"alternatives\[1\]"),
+            (("criteria", 0), "\udfff", r"criteria\[0\]"),
+        ],
+        ids=["huge weight", "huge mu", "huge negative nu", "surrogate alternative", "surrogate criterion"],
+    )
+    def test_unrepresentable_values_are_located(self, path, value, location):
+        doc = minimal_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        for form in (doc, json.dumps(doc)):
+            with pytest.raises(ParseError, match=location):
+                parse_problem(form)
+
+    def test_integer_literal_over_the_digit_limit(self):
+        text = json.dumps(minimal_doc()).replace("0.6,", "1" * 5000 + ",", 1)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_problem(text)
+
 
 class TestParseCollections:
     def test_bundled_file(self):
@@ -92,6 +119,12 @@ class TestParseCollections:
     def test_labels_default_to_position(self):
         rows = parse_collections({"elements": [{"values": [[0.5, 0.5]]}]})
         assert rows[0][0] == "x1"
+
+    def test_unrepresentable_values_are_located(self):
+        with pytest.raises(ParseError, match=r"elements\[0\]\.values\[1\]"):
+            parse_collections({"elements": [{"values": [[0.5, 0.5], [1, 10**400]]}]})
+        with pytest.raises(ParseError, match=r"elements\[0\]\.label"):
+            parse_collections(json.dumps({"elements": [{"label": "\ud800", "values": [[0.5, 0.5]]}]}))
 
 
 class TestParseConfig:
@@ -248,6 +281,14 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert main(["solve", "--input", str(bad)]) == 2
         assert "alternative 'A2'" in capsys.readouterr().err
+
+    def test_solve_names_an_alternative_rounded_off_the_disc(self, tmp_path, capsys, monkeypatch):
+        gen = perfbench_gen(monkeypatch)
+        doc = gen.generate(gen.Params(3, 600, 5, boundary_frac=0.1, zero_weight=True), 11)
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(path)]) == 2
+        assert "error: alternative 'A285': mu**2 + nu**2 must not exceed 1" in capsys.readouterr().err
 
     def test_fuse_bundled_example(self, capsys):
         assert main(["fuse", "--input", str(collections_path())]) == 0

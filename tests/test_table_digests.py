@@ -6,14 +6,13 @@ and for the benchmark's ``panel`` problem at seed 0, is recorded in
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from cpfs.cli import main
+from helpers import perfbench_gen
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
@@ -30,10 +29,7 @@ def test_case_study_tables(operator, tmp_path, capsys):
 
 
 def test_panel_tables(tmp_path, capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen(monkeypatch)
     problem = tmp_path / "panel.json"
     # The panel workload's shape; its digests are recorded at seed 0.
     doc = gen.generate(gen.Params(experts=10, alternatives=500, criteria=20), 0)
