@@ -43,7 +43,6 @@ from .fusion import build_circular_matrix
 from .generators import GeneratorPair
 from .rounding import round_half_up
 from .similarity import csm_to_ideal
-from . import values
 from .values import CPFV, PFV, _shared_pfv
 
 __all__ = [
@@ -202,10 +201,7 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
     for matrix in problem.experts:
         rows = []
         for row in matrix:
-            if len(table) < values._SHARED_MAX:
-                cells = [_shared_pfv(table, c.nu, c.mu) if cost else c for c, cost in zip(row, is_cost)]
-            else:  # Nothing more is shared; the helper per cell cost 15% on input without repeats.
-                cells = [c.complement() if cost else c for c, cost in zip(row, is_cost)]
+            cells = [_shared_pfv(table, c.nu, c.mu) if cost else c for c, cost in zip(row, is_cost)]
             rows.append(tuple(cells))
         experts.append(tuple(rows))
     return replace(problem, experts=tuple(experts))

@@ -98,6 +98,18 @@ def test_a_full_table_only_stops_the_sharing(problem, bound):
     assert len(shared) <= bound
 
 
+def test_a_table_holds_at_most_the_bound():
+    with mock.patch.object(values, "_SHARED_MAX", 3):
+        table = {}
+        first = values._shared_pfv(table, 0.1, 0.1)
+        assert values._shared_pfv(table, 0.1, 0.1) is first
+        for k in range(2, 6):
+            values._shared_pfv(table, 0.1 * k, 0.1)
+        assert len(table) == 3
+        # A full table is no longer read.
+        assert values._shared_pfv(table, 0.1, 0.1) is not first
+
+
 def test_a_panel_solve_builds_few_point_values(monkeypatch):
     """Parsing and solving the benchmark's 10x500x20 ``panel`` problem at
     seed 0 built 161,000 point values before they were shared, 26,475 after."""
