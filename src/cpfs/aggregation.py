@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyInput, InvalidWeights, LengthMismatch, UnknownOperator
 from .generators import Generator, GeneratorPair, algebraic_pair
-from .values import CPFV
+from .values import CPFV, _require_component
 
 __all__ = [
     "WEIGHT_SUM_TOL",
@@ -70,12 +70,11 @@ class WeightVector:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(float(w) for w in self.weights)
+        ws = tuple(
+            _require_component(w, f"weights[{i}]", InvalidWeights) for i, w in enumerate(self.weights)
+        )
         if not ws:
-            raise InvalidWeights("weight vector must be non-empty")
-        for i, w in enumerate(ws):
-            if not math.isfinite(w) or w < 0.0 or w > 1.0:
-                raise InvalidWeights(f"weights[{i}] must lie in [0, 1], got {w!r}")
+            raise InvalidWeights("weights must be non-empty")
         total = math.fsum(ws)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidWeights(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")

@@ -40,7 +40,7 @@ import math
 
 from .errors import NonPositiveScalar
 from .generators import BinaryOp, GeneratorPair, dual_tconorm
-from .values import CPFV, RadiusMode, radius_mode_op
+from .values import CPFV, RadiusMode, _real, radius_mode_op
 
 __all__ = [
     "add",
@@ -55,11 +55,9 @@ __all__ = [
 
 
 def _require_positive(lam: float, name: str = "lambda") -> float:
-    if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-        raise NonPositiveScalar(f"{name} must be a positive real number, got {lam!r}")
-    x = float(lam)
-    if not math.isfinite(x) or x <= 0.0:
-        raise NonPositiveScalar(f"{name} must be strictly positive and finite, got {x!r}")
+    x = _real(lam, name, NonPositiveScalar)
+    if x <= 0.0:
+        raise NonPositiveScalar(f"{name} must be strictly positive, got {x!r}")
     return x
 
 

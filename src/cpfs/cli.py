@@ -18,11 +18,11 @@ from typing import Sequence
 
 from .aggregation import OPERATOR_NAMES
 from .datasets import case_study_path
-from .errors import CircularFuzzyError
+from .errors import CircularFuzzyError, DomainError
 from .fusion import fuse
 from .mcdm import complexity_estimate, complexity_sweep, solve
-from .rounding import MAX_PRECISION, format_fixed
-from .serialize import load_collections, load_config, load_problem, write_solve_tables
+from .rounding import MAX_PRECISION, format_fixed, require_precision
+from .serialize import _csv_fields, load_collections, load_config, load_problem, write_solve_tables
 
 _OPERATOR_ALIASES = {"q": "cpwa_q", "p": "cpwa_p"}
 
@@ -32,11 +32,12 @@ def _operator_name(raw: str) -> str:
 
 
 def _precision(text: str) -> int:
-    if not text.isdecimal() or int(text) > MAX_PRECISION:
+    try:
+        return require_precision(int(text) if text.isdecimal() else None)
+    except DomainError:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer at most {MAX_PRECISION}, got {text!r}"
-        )
-    return int(text)
+        ) from None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -62,7 +63,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     rows = load_collections(args.input)
     precision = args.precision if args.precision is not None else 2
     print("label,mu,nu,r")
-    for label, values in rows:
+    for label, (_, values) in zip(_csv_fields([label for label, _ in rows]), rows):
         v = fuse(values)
         print(
             f"{label},{format_fixed(v.mu, precision)},"

@@ -46,22 +46,21 @@ def build_circular_matrix(
     """
     if len(expert_matrices) == 0:
         raise EmptyInput("need at least one expert matrix")
-    shape = _shape_of(expert_matrices[0])
-    for e, matrix in enumerate(expert_matrices):
-        if _shape_of(matrix) != shape:
-            raise DimensionMismatch(
-                f"expert matrix {e} has shape {_shape_of(matrix)}, expected {shape}"
-            )
-    n_alt, n_crit = shape
+    first = expert_matrices[0]
+    n_alt, n_crit = len(first), len(first[0]) if first else 0
+    _require_shape(expert_matrices, n_alt, n_crit)
     return [
         [fuse([matrix[i][j] for matrix in expert_matrices]) for j in range(n_crit)]
         for i in range(n_alt)
     ]
 
 
-def _shape_of(matrix: Sequence[Sequence[PFV]]) -> tuple[int, ...]:
-    rows = len(matrix)
-    widths = {len(row) for row in matrix}
-    if len(widths) > 1:
-        raise DimensionMismatch(f"matrix is ragged: row widths {sorted(widths)}")
-    return (rows, widths.pop() if widths else 0)
+def _require_shape(
+    expert_matrices: Sequence[Sequence[Sequence[object]]], n_alt: int, n_crit: int
+) -> None:
+    """:class:`DimensionMismatch` unless every matrix is ``n_alt`` rows of ``n_crit`` cells."""
+    for e, matrix in enumerate(expert_matrices):
+        if len(matrix) != n_alt or any(len(row) != n_crit for row in matrix):
+            raise DimensionMismatch(
+                f"expert matrix {e} does not match shape {n_alt} alternatives x {n_crit} criteria"
+            )

@@ -39,7 +39,7 @@ from .errors import (
     LengthMismatch,
     UnknownOperator,
 )
-from .fusion import build_circular_matrix
+from .fusion import _require_shape, build_circular_matrix
 from .generators import GeneratorPair
 from .rounding import round_half_up
 from .similarity import csm_to_ideal
@@ -64,7 +64,11 @@ ExpertMatrix = tuple[tuple[PFV, ...], ...]
 
 @dataclass(frozen=True, slots=True)
 class DecisionProblem:
-    """A group decision problem: experts x alternatives x criteria of point values."""
+    """A group decision problem: experts x alternatives x criteria of point values.
+
+    ``weights`` may be any sequence of numbers; it is checked and stored as a
+    :class:`~cpfs.aggregation.WeightVector`.
+    """
 
     alternatives: tuple[str, ...]
     criteria: tuple[str, ...]
@@ -76,6 +80,8 @@ class DecisionProblem:
         object.__setattr__(self, "alternatives", tuple(str(a) for a in self.alternatives))
         object.__setattr__(self, "criteria", tuple(str(c) for c in self.criteria))
         object.__setattr__(self, "polarity", tuple(self.polarity))
+        if not isinstance(self.weights, WeightVector):
+            object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))
         experts = tuple(tuple(tuple(row) for row in matrix) for matrix in self.experts)
         object.__setattr__(self, "experts", experts)
 
@@ -100,15 +106,8 @@ class DecisionProblem:
             raise LengthMismatch(
                 f"got {len(self.weights)} weights for {len(self.criteria)} criteria"
             )
-        shape = (len(self.alternatives), len(self.criteria))
+        _require_shape(experts, len(self.alternatives), len(self.criteria))
         for e, matrix in enumerate(experts):
-            rows = len(matrix)
-            widths = {len(row) for row in matrix}
-            if rows != shape[0] or widths != {shape[1]}:
-                raise DimensionMismatch(
-                    f"expert matrix {e} does not match shape "
-                    f"{shape[0]} alternatives x {shape[1]} criteria"
-                )
             for row in matrix:
                 for cell in row:
                     if not isinstance(cell, PFV):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
+import math
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 from .errors import DomainError
+from .values import _real
 
 __all__ = ["MAX_PRECISION", "require_precision", "round_half_up", "format_fixed"]
 
@@ -14,15 +16,26 @@ MAX_PRECISION = 27
 
 
 def require_precision(digits: int) -> int:
-    """``digits``, or :class:`DomainError` if it exceeds :data:`MAX_PRECISION`."""
-    if digits > MAX_PRECISION:
-        raise DomainError(f"precision must be at most {MAX_PRECISION}, got {digits}")
+    """``digits`` if it is an integer from 0 to :data:`MAX_PRECISION`, else :class:`DomainError`."""
+    if isinstance(digits, bool) or not isinstance(digits, int) or not 0 <= digits <= MAX_PRECISION:
+        raise DomainError(
+            f"precision must be a non-negative integer at most {MAX_PRECISION}, got {digits!r}"
+        )
     return digits
 
 
+#: ``10**-digits`` for every precision :func:`require_precision` accepts.
+_QUANTA = tuple(Decimal(1).scaleb(-digits) for digits in range(MAX_PRECISION + 1))
+
+
 def _quantized(x: float, digits: int) -> Decimal:
-    exp = Decimal(1).scaleb(-require_precision(digits))
-    return Decimal(repr(float(x))).quantize(exp, rounding=ROUND_HALF_UP)
+    if type(x) is not float or not math.isfinite(x):  # a finite float passes _real unchanged
+        x = _real(x, "x", DomainError)
+    quantum = _QUANTA[require_precision(digits)]
+    try:
+        return Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP)
+    except InvalidOperation:  # the result needs more digits than the 28-digit context holds
+        raise DomainError(f"cannot round {x!r} to {digits} decimals in 28 digits") from None
 
 
 def round_half_up(x: float, digits: int = 2) -> float:

@@ -32,11 +32,10 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import CircularFuzzyError, ParseError
+from .errors import CircularFuzzyError, DomainError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
 from .values import PFV, _shared_pfv
-from .aggregation import WeightVector
 
 __all__ = [
     "parse_problem",
@@ -125,19 +124,8 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         for i, x in enumerate(_as_list(data["criteria"], "criteria", source))
     ]
 
-    polarity = []
-    for j, p in enumerate(_as_list(data["polarity"], "polarity", source)):
-        if p not in ("benefit", "cost"):
-            raise ParseError(
-                f"must be 'benefit' or 'cost', got {p!r}", location=f"polarity[{j}]", source=source
-            )
-        polarity.append(p)
-
-    raw_weights = _as_list(data["weights"], "weights", source)
-    try:
-        weights = WeightVector(tuple(float(w) for w in raw_weights))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(str(e), location="weights", source=source) from e
+    polarity = _as_list(data["polarity"], "polarity", source)
+    weights = _as_list(data["weights"], "weights", source)
 
     experts = []
     table: dict = {}
@@ -150,12 +138,14 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
             rows.append(tuple(cells))
         experts.append(tuple(rows))
 
+    # The problem's own checks cover polarity and weights; their messages name
+    # the offending item (``polarity[j]``, ``weights[i]``).
     try:
         return DecisionProblem(
             alternatives=tuple(alternatives),
             criteria=tuple(criteria),
             polarity=tuple(polarity),
-            weights=weights,
+            weights=tuple(weights),
             experts=tuple(experts),
         )
     except CircularFuzzyError as err:
@@ -215,13 +205,14 @@ def load_collections(path: str | Path) -> list[tuple[str, list[PFV]]]:
 
 
 def _as_digits(node: Any, where: str, source: str | None) -> int:
-    if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node <= MAX_PRECISION:
+    try:
+        return require_precision(node)
+    except DomainError:
         raise ParseError(
             f"expected a non-negative integer at most {MAX_PRECISION}, got {node!r}",
             location=where,
             source=source,
-        )
-    return node
+        ) from None
 
 
 _CONFIG_KEYS = ("operator", "precision", "aggregate_precision")
@@ -301,80 +292,56 @@ def _csv_fields(labels: Sequence[str]) -> list[str]:
 def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: int = 2) -> dict[str, Path]:
     """Write every pipeline table as CSV plus a JSON result document.
 
-    Returns a name -> path map of everything written.  A precision above
-    :data:`~cpfs.rounding.MAX_PRECISION` raises before any file is written.
+    Returns a name -> path map of everything written.  A precision outside
+    0 to :data:`~cpfs.rounding.MAX_PRECISION` raises before any file is written.
     """
     fmt = _Formatted(require_precision(precision))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     score = _Formatted(3)
     problem = result.problem
-    alts, crits = problem.alternatives, problem.criteria
-    circular = result.circular_matrix
+    # Each label is quoted once; formatted numbers never need quoting.
+    alts, crits = _csv_fields(problem.alternatives), _csv_fields(problem.criteria)
+    quoted = dict(zip(problem.alternatives, alts))
 
     files: dict[str, Path] = {}
 
-    def emit(name: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    def emit(name: str, header: str, lines: Iterable[str]) -> None:
         path = out / f"{name}.csv"
         with path.open("w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(header + "\n")
+            fh.writelines(lines)
         files[name] = path
 
-    # The largest table is written a line at a time, with each label quoted once.
-    path = out / "normalized_matrix.csv"
-    quoted_alts, quoted_crits = _csv_fields(alts), _csv_fields(crits)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("expert,alternative,criterion,mu,nu\n")
-        for e, matrix in enumerate(result.normalized.experts, 1):
-            for alt, row in zip(quoted_alts, matrix):
-                fh.write("".join([
-                    f"{e},{alt},{crit},{fmt[cell.mu]},{fmt[cell.nu]}\n"
-                    for crit, cell in zip(quoted_crits, row)
-                ]))
-    files["normalized_matrix"] = path
-    emit(
-        "fused_centers",
-        ["alternative", "criterion", "mu", "nu"],
-        (
-            (alts[i], crits[j], fmt[v.mu], fmt[v.nu])
-            for i, row in enumerate(circular)
-            for j, v in enumerate(row)
-        ),
-    )
-    emit(
-        "fused_radii",
-        ["alternative", "criterion", "r"],
-        ((alts[i], crits[j], fmt[v.r]) for i, row in enumerate(circular) for j, v in enumerate(row)),
-    )
-    emit(
-        "circular_matrix",
-        ["alternative", "criterion", "mu", "nu", "r"],
-        (
-            (alts[i], crits[j], fmt[v.mu], fmt[v.nu], fmt[v.r])
-            for i, row in enumerate(circular)
-            for j, v in enumerate(row)
-        ),
-    )
-    emit(
-        "aggregated",
-        ["alternative", "mu", "nu", "r"],
-        ((alts[i], fmt[v.mu], fmt[v.nu], fmt[v.r]) for i, v in enumerate(result.aggregated)),
-    )
-    emit(
-        "similarities",
-        ["alternative", "score"],
-        ((alts[i], score[s]) for i, s in enumerate(result.similarities)),
-    )
-    emit(
-        "ranking",
-        ["rank", "alternative", "score", "tied"],
-        (
-            (pos + 1, entry.label, score[entry.score], int(entry.tied))
-            for pos, entry in enumerate(result.ranking.entries)
-        ),
-    )
+    # Matrix tables are written one alternative's row of cells at a time.
+    emit("normalized_matrix", "expert,alternative,criterion,mu,nu", (
+        "".join([f"{e},{alt},{crit},{fmt[c.mu]},{fmt[c.nu]}\n" for crit, c in zip(crits, row)])
+        for e, matrix in enumerate(result.normalized.experts, 1)
+        for alt, row in zip(alts, matrix)
+    ))
+    fused = [
+        (alt, [(crit, fmt[v.mu], fmt[v.nu], fmt[v.r]) for crit, v in zip(crits, row)])
+        for alt, row in zip(alts, result.circular_matrix)
+    ]
+    emit("fused_centers", "alternative,criterion,mu,nu", (
+        "".join([f"{alt},{crit},{mu},{nu}\n" for crit, mu, nu, _ in row]) for alt, row in fused
+    ))
+    emit("fused_radii", "alternative,criterion,r", (
+        "".join([f"{alt},{crit},{r}\n" for crit, _, _, r in row]) for alt, row in fused
+    ))
+    emit("circular_matrix", "alternative,criterion,mu,nu,r", (
+        "".join([f"{alt},{crit},{mu},{nu},{r}\n" for crit, mu, nu, r in row]) for alt, row in fused
+    ))
+    emit("aggregated", "alternative,mu,nu,r", (
+        f"{alt},{fmt[v.mu]},{fmt[v.nu]},{fmt[v.r]}\n" for alt, v in zip(alts, result.aggregated)
+    ))
+    emit("similarities", "alternative,score", (
+        f"{alt},{score[s]}\n" for alt, s in zip(alts, result.similarities)
+    ))
+    emit("ranking", "rank,alternative,score,tied", (
+        f"{pos},{quoted[entry.label]},{score[entry.score]},{int(entry.tied)}\n"
+        for pos, entry in enumerate(result.ranking.entries, 1)
+    ))
 
     doc = result_to_dict(result)
     path = out / "result.json"

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal
 
 from .errors import (
+    CircularFuzzyError,
     ConstraintViolation,
     DomainError,
     OutOfRange,
@@ -60,14 +61,24 @@ UNIT_SLACK = 1e-9
 RadiusMode = Literal["min", "max"]
 
 
-def _require_component(value: float, name: str) -> float:
+def _real(value: float, name: str, error: type[CircularFuzzyError]) -> float:
+    """``value`` as a finite float, or ``error``: the one check of every real input."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise OutOfRange(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range; its repr may be too long to print
+        raise error(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(x):
-        raise OutOfRange(f"{name} must be finite, got {x!r}")
+        raise error(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _require_component(value: float, name: str, error: type[CircularFuzzyError] = OutOfRange) -> float:
+    """``value`` as a float in [0, 1], or ``error``."""
+    x = _real(value, name, error)
     if x < 0.0 or x > 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {x}")
+        raise error(f"{name} must lie in [0, 1], got {x}")
     return x
 
 
@@ -122,12 +133,7 @@ class CPFV:
             raise OutOfRange(f"center must be a PFV, got {self.center!r}")
         r = self.r
         if type(r) is not float or not 0.0 <= r <= 1.0:  # as in PFV
-            if not isinstance(r, (int, float)) or isinstance(r, bool):
-                raise RadiusOutOfRange(f"radius must be a real number, got {r!r}")
-            r = float(r)
-            if not math.isfinite(r) or r < 0.0 or r > 1.0:
-                raise RadiusOutOfRange(f"radius must lie in [0, 1], got {r!r}")
-            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "r", _require_component(r, "radius", RadiusOutOfRange))
 
     @classmethod
     def of(cls, mu: float, nu: float, r: float) -> "CPFV":

@@ -49,6 +49,13 @@ class TestWeightVector:
         with pytest.raises(InvalidWeights):
             WeightVector(())
 
+    @pytest.mark.parametrize(
+        "weights", [("0.5", "0.5"), (True, False), (10**400, 0.0)], ids=["strings", "bools", "401 digits"]
+    )
+    def test_weights_must_be_real_numbers(self, weights):
+        with pytest.raises(InvalidWeights, match=r"weights\[0\]"):
+            WeightVector(weights)
+
     def test_no_silent_renormalisation(self):
         with pytest.raises(InvalidWeights):
             WeightVector.of(0.5, 0.6)

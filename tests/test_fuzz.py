@@ -5,14 +5,36 @@ collections, a config): it replaces, deletes or duplicates a node anywhere
 in the tree, or perturbs a number.  The matching ``parse_*`` function must
 return or raise ``ParseError`` and nothing else, and ``cpfs`` must exit with
 status 0 or 2.
+
+The public constructors and scalar operations get junk in place of numbers
+(huge integers, bools, strings, ``None``, non-finite floats, ``Decimal``,
+``Fraction``, numpy floats); they must return or raise a
+``CircularFuzzyError``, never another exception.
 """
 
 import copy
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cpfs import ParseError, case_study_path, collections_path
+from cpfs import (
+    CPFV,
+    PFV,
+    CircularFuzzyError,
+    ParseError,
+    WeightVector,
+    algebraic_pair,
+    case_study_path,
+    collections_path,
+    format_fixed,
+    power,
+    round_half_up,
+    scalar_multiple,
+)
 from cpfs.cli import main
 from cpfs.serialize import parse_collections, parse_config, parse_problem
 
@@ -108,3 +130,35 @@ def test_mutated_config(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("config") / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["solve", "--config", str(path)]) in (0, 2)
+
+
+junk = st.one_of(
+    st.sampled_from([
+        10**400, -(10**400), True, False, "0.5", "", None, math.nan, math.inf, -math.inf,
+        Decimal("0.5"), Decimal("NaN"), Fraction(1, 2), numpy.float64(0.5), numpy.float64(math.nan),
+        numpy.float64(math.inf), numpy.float64(2.0),
+    ]),
+    st.floats(),
+    st.integers(-2, 2),
+)
+GENS = algebraic_pair()
+
+
+def returns_or_raises_circular_fuzzy_error(build, *args):
+    try:
+        build(*args)
+    except CircularFuzzyError:
+        pass
+
+
+@given(junk, junk, junk, st.one_of(junk, st.just(PFV(0.5, 0.5))))
+def test_junk_numbers(a, b, c, center):
+    returns_or_raises_circular_fuzzy_error(PFV, a, b)
+    returns_or_raises_circular_fuzzy_error(CPFV, center, a)
+    returns_or_raises_circular_fuzzy_error(CPFV.of, a, b, c)
+    returns_or_raises_circular_fuzzy_error(WeightVector, (a, b, c))
+    returns_or_raises_circular_fuzzy_error(scalar_multiple, a, CPFV.of(0.5, 0.5, 0.5), GENS)
+    returns_or_raises_circular_fuzzy_error(power, CPFV.of(0.5, 0.5, 0.5), a, GENS)
+    for fn in (round_half_up, format_fixed):
+        returns_or_raises_circular_fuzzy_error(fn, a, 2)
+        returns_or_raises_circular_fuzzy_error(fn, 0.5, b)

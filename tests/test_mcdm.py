@@ -104,6 +104,13 @@ class TestDecisionProblem:
                 weights=(0.4, 0.5),
             )
 
+    def test_plain_weights_are_checked_as_a_weight_vector(self):
+        cells = (((PFV(0.5, 0.5), PFV(0.5, 0.5)),),)
+        p = DecisionProblem(("A1",), ("C1", "C2"), ("benefit", "cost"), (0.5, 0.5), cells)
+        assert p.weights == WeightVector.of(0.5, 0.5)
+        with pytest.raises(InvalidWeights, match=r"weights\[0\]"):
+            DecisionProblem(("A1",), ("C1", "C2"), ("benefit", "cost"), ("x", "y"), cells)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInput):
             DecisionProblem(
@@ -169,6 +176,11 @@ class TestSolve:
     def test_full_precision_mode_skips_quantization(self, problem):
         result = solve(problem, "cpwa_q", aggregate_precision=None)
         assert result.scored == result.aggregated
+
+    @pytest.mark.parametrize("digits", [-1, True, 2.0], ids=repr)
+    def test_bad_aggregate_precision_is_a_domain_error(self, problem, digits):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            solve(problem, "cpwa_q", aggregate_precision=digits)
 
     def test_quantized_mode_scores_rounded_values(self, problem):
         result = solve(problem, "cpwa_q", aggregate_precision=2)

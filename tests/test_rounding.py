@@ -35,3 +35,10 @@ def test_every_unit_value_formats_up_to_the_bound(x, digits):
 def test_precision_above_the_bound_is_a_domain_error(fn, digits):
     with pytest.raises(DomainError, match=f"at most {MAX_PRECISION}"):
         fn(1.0, digits)
+
+
+@pytest.mark.parametrize("fn", [format_fixed, round_half_up])
+@pytest.mark.parametrize("digits", [-1, True, 2.0, "2", None], ids=repr)
+def test_precision_must_be_a_non_negative_integer(fn, digits):
+    with pytest.raises(DomainError, match="non-negative integer"):
+        fn(0.5, digits)

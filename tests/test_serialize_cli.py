@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -100,6 +102,20 @@ class TestParseProblem:
             with pytest.raises(ParseError, match=location):
                 parse_problem(form)
 
+    @pytest.mark.parametrize(
+        "weights", [[" 0.5 ", "5e-1"], [True, False], [10**400, 0.0]], ids=["strings", "bools", "401 digits"]
+    )
+    def test_weights_follow_the_cell_number_rule(self, tmp_path, capsys, weights):
+        doc = minimal_doc()
+        doc["weights"] = weights
+        text = json.dumps(doc)
+        with pytest.raises(ParseError, match=r"weights\[0\]"):
+            parse_problem(text)
+        path = tmp_path / "weights.json"
+        path.write_text(text)
+        assert main(["solve", "--input", str(path)]) == 2
+        assert "weights[0]" in capsys.readouterr().err
+
     def test_integer_literal_over_the_digit_limit(self):
         text = json.dumps(minimal_doc()).replace("0.6,", "1" * 5000 + ",", 1)
         with pytest.raises(ParseError, match="invalid JSON"):
@@ -172,6 +188,13 @@ class TestWriteSolveTables:
         result = solve(load_case_study(), "cpwa_q")
         with pytest.raises(DomainError, match="at most 27"):
             write_solve_tables(result, tmp_path / "out", precision=28)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("digits", [-1, True, 2.0], ids=repr)
+    def test_precision_outside_the_rule_writes_nothing(self, tmp_path, digits):
+        result = solve(load_case_study(), "cpwa_q")
+        with pytest.raises(DomainError, match="non-negative integer"):
+            write_solve_tables(result, tmp_path / "out", precision=digits)
         assert not (tmp_path / "out").exists()
 
     def test_result_document(self, tmp_path):
@@ -297,6 +320,14 @@ class TestCli:
         assert out[1] == "x1,0.41,0.73,0.13"
         assert out[2] == "x2,0.16,0.46,0.17"
         assert out[3] == "x3,0.80,0.32,0.20"
+
+    def test_fuse_quotes_labels(self, tmp_path, capsys):
+        labels = ["a,b", 'say "hi"', ""]
+        doc = tmp_path / "labels.json"
+        doc.write_text(json.dumps({"elements": [{"label": x, "values": [[0.5, 0.5]]} for x in labels]}))
+        assert main(["fuse", "--input", str(doc)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [["label", "mu", "nu", "r"]] + [[x, "0.50", "0.50", "0.00"] for x in labels]
 
     def test_fuse_single_value_row_has_zero_radius(self, tmp_path, capsys):
         doc = tmp_path / "one.json"
