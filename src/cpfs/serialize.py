@@ -27,15 +27,16 @@ formatting, ``\n`` line endings.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import CircularFuzzyError, DomainError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
-from .values import PFV, _shared_pfv
+from .values import PFV, _shared_pfv, _shown
 
 __all__ = [
     "parse_problem",
@@ -209,7 +210,7 @@ def _as_digits(node: Any, where: str, source: str | None) -> int:
         return require_precision(node)
     except DomainError:
         raise ParseError(
-            f"expected a non-negative integer at most {MAX_PRECISION}, got {node!r}",
+            f"expected a non-negative integer at most {MAX_PRECISION}, got {_shown(node)}",
             location=where,
             source=source,
         ) from None
@@ -343,11 +344,64 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
         for pos, entry in enumerate(result.ranking.entries, 1)
     ))
 
-    doc = result_to_dict(result)
     path = out / "result.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(_result_json(result_to_dict(result)))
     files["result"] = path
     return files
+
+
+# ---------------------------------------------------------------------------
+# result.json: each list of numbers is written on one line by the C encoder,
+# then indented as ``json.dumps(..., indent=2)`` would indent it.
+# ---------------------------------------------------------------------------
+
+#: How deep each list of numbers in a result document nests.
+_NUMBER_LISTS = {"aggregated": 2, "circular_matrix": 3, "scored": 2, "similarities": 1, "weights": 1}
+
+
+@functools.cache
+def _layout(depth: int, level: int) -> tuple[str, tuple[tuple[str, str], ...], str]:
+    """Head, separators (one-line and indented) and tail of a list nested
+    ``depth`` deep down to numbers and indented ``level`` steps.  The longest
+    separator comes first: a shorter one is part of it."""
+    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    opens = lambda d, n: "".join("[" + pad[d + k] for k in range(1, n + 1))  # noqa: E731
+    closes = lambda n: "".join(pad[depth - k] + "]" for k in range(1, n + 1))  # noqa: E731
+    seps = tuple(("]" * j + ", " + "[" * j, closes(j) + "," + pad[depth - j] + opens(depth - j, j))
+                 for j in range(depth - 1, -1, -1))
+    return opens(0, depth), seps, closes(depth)
+
+
+def _indented(numbers: list, depth: int, level: int) -> str:
+    """``json.dumps(numbers, indent=2)`` indented ``level`` steps.  The repr of
+    a number holds no bracket and no ``", "``, so every separator of the
+    one-line text is a run of brackets around ``", "``."""
+    text = json.dumps(numbers)
+    if "[]" in text:  # an empty list breaks the bracket runs
+        return json.dumps(numbers, indent=2).replace("\n", "\n" + "  " * level)
+    head, seps, tail = _layout(depth, level)
+    for one_line, indented in seps:
+        text = text.replace(one_line, indented)
+    return head + text[depth:-depth] + tail
+
+
+def _result_json(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` in chunks."""
+    sep = "{\n"
+    for key in sorted(doc):
+        value, depth = doc[key], _NUMBER_LISTS.get(key)
+        yield f"{sep}  {json.dumps(key)}: "
+        if depth == 3 and value:  # the circular matrix, one alternative at a time
+            for i, row in enumerate(value):
+                yield ("," if i else "[") + "\n    " + _indented(row, 2, 2)
+            yield "\n  ]"
+        elif depth:
+            yield _indented(value, depth, 1)
+        else:
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        sep = ",\n"
+    yield "\n}\n"
 
 
 def result_to_dict(result: PipelineResult) -> dict:

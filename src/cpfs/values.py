@@ -61,6 +61,14 @@ UNIT_SLACK = 1e-9
 RadiusMode = Literal["min", "max"]
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, or a note for an integer too long to convert to text."""
+    try:
+        return repr(value)
+    except ValueError:  # over the interpreter's integer-to-string digit limit
+        return "an integer too large to print"
+
+
 def _real(value: float, name: str, error: type[CircularFuzzyError]) -> float:
     """``value`` as a finite float, or ``error``: the one check of every real input."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -130,7 +138,7 @@ class CPFV:
 
     def __post_init__(self) -> None:
         if not isinstance(self.center, PFV):
-            raise OutOfRange(f"center must be a PFV, got {self.center!r}")
+            raise OutOfRange(f"center must be a PFV, got {_shown(self.center)}")
         r = self.r
         if type(r) is not float or not 0.0 <= r <= 1.0:  # as in PFV
             object.__setattr__(self, "r", _require_component(r, "radius", RadiusOutOfRange))
@@ -197,7 +205,7 @@ class CPFS:
         elems = tuple((str(label), value) for label, value in self.elements)
         for label, value in elems:
             if not isinstance(value, CPFV):
-                raise OutOfRange(f"element {label!r} must be a CPFV, got {value!r}")
+                raise OutOfRange(f"element {label!r} must be a CPFV, got {_shown(value)}")
         labels = [label for label, _ in elems]
         if len(set(labels)) != len(labels):
             dupes = sorted({x for x in labels if labels.count(x) > 1})

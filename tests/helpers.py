@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
 
 from cpfs import (
@@ -17,6 +18,7 @@ from cpfs import (
     CPFV,
     PFV,
     CircularFuzzyError,
+    DomainError,
     ParseError,
     algebraic_pair,
     dual_tconorm,
@@ -24,8 +26,9 @@ from cpfs import (
 )
 from cpfs.aggregation import _checked, _weighted
 from cpfs.algebra import _require_positive
+from cpfs.rounding import require_precision
 from cpfs.serialize import result_to_dict
-from cpfs.values import _paired
+from cpfs.values import _paired, _real
 
 __all__ = [
     "make_rng",
@@ -38,6 +41,8 @@ __all__ = [
     "reference_normalize",
     "reference_cell",
     "reference_solve_tables",
+    "reference_round_half_up",
+    "reference_format_fixed",
     "reference_multiply",
     "reference_power",
     "reference_multiply_minmax",
@@ -150,6 +155,29 @@ def reference_cell(node, where: str) -> PFV:
         return PFV(float(node[0]), float(node[1]))
     except CircularFuzzyError as err:
         raise ParseError(str(err), location=where) from err
+
+
+def _reference_quantized(x, digits: int) -> Decimal:
+    if type(x) is not float or not math.isfinite(x):
+        x = _real(x, "x", DomainError)
+    quantum = Decimal(1).scaleb(-require_precision(digits))
+    try:
+        return Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        raise DomainError(f"cannot round {x!r} to {digits} decimals in 28 digits") from None
+
+
+# ``round_half_up`` and ``format_fixed`` as they were before their fast path
+# for floats in [-1, 1]: every value through ``Decimal(repr(x))``.  Kept as
+# the references their results must equal.
+
+
+def reference_round_half_up(x, digits: int = 2) -> float:
+    return float(_reference_quantized(x, digits))
+
+
+def reference_format_fixed(x, digits: int = 2) -> str:
+    return format(_reference_quantized(x, digits), "f")
 
 
 def _reference_csv(path: Path, header, rows) -> None:

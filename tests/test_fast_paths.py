@@ -3,7 +3,9 @@
 ``write_solve_tables`` formats each distinct value once and writes the
 normalized matrix a line at a time, quoting each label once; its files must
 equal those of a writer that formats every cell and writes every row through
-``csv.writer``, whatever the labels hold.  ``parse_problem`` and
+``csv.writer``, whatever the labels hold, and its ``result.json``, written in
+chunks with the lists of numbers through the C encoder, must equal
+``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem`` and
 ``parse_collections`` take pairs of floats without the per-item checks and
 build each distinct pair once; they must accept and reject the same
 documents, with the same values and the same located errors, as a parser
@@ -18,6 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cpfs import (
@@ -29,10 +32,12 @@ from cpfs import (
     PipelineResult,
     Ranking,
     WeightVector,
+    load_case_study,
+    solve,
 )
 from cpfs import values
-from cpfs.serialize import parse_collections, parse_problem, write_solve_tables
-from helpers import reference_cell, reference_solve_tables
+from cpfs.serialize import _indented, parse_collections, parse_problem, result_to_dict, write_solve_tables
+from helpers import perfbench_gen, reference_cell, reference_solve_tables
 
 # Repeats, both zeros, half-up ties at two and three decimals, and a value
 # that is 0 at every precision but not zero.
@@ -108,6 +113,35 @@ def test_negative_zero_keeps_its_sign_after_a_positive_zero(tmp_path):
     write_solve_tables(result, tmp_path)
     lines = (tmp_path / "normalized_matrix.csv").read_text().splitlines()
     assert lines[1:] == ["1,A1,C1,0.00,0.50", "1,A2,C1,-0.00,0.50"]
+
+
+def assert_result_json_is_indented_json(result, out: Path, precision: int) -> None:
+    write_solve_tables(result, out, precision=precision)
+    want = json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
+    assert (out / "result.json").read_bytes() == want.encode("utf-8")
+
+
+def test_panel_result_json_is_indented_json(tmp_path, monkeypatch):
+    gen = perfbench_gen(monkeypatch)
+    doc = gen.generate(gen.Params(experts=10, alternatives=500, criteria=20), 0)
+    assert_result_json_is_indented_json(solve(parse_problem(doc)), tmp_path, 2)
+
+
+@pytest.mark.parametrize("precision", [2, 3])
+@pytest.mark.parametrize("operator", ["cpwa_q", "cpwa_p", "cpwg_q", "cpwg_p"])
+def test_case_study_result_json_is_indented_json(operator, precision, tmp_path):
+    result = solve(load_case_study(), operator, aggregate_precision=precision)
+    assert_result_json_is_indented_json(result, tmp_path, precision)
+
+
+@pytest.mark.parametrize("numbers, depth", [
+    ([], 1), ([[]], 2), ([[], [0.5]], 2), ([0.5], 1), ([-0.0, 1.0, 1e-300], 1),
+    ([[0.5, -0.0], [1.0]], 2), ([[[0.1, 0.2], [0.3]], [[0.4]]], 3), ([[[]]], 3),
+])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_list_of_numbers_is_indented_as_json_dumps_does(numbers, depth, level):
+    want = json.dumps(numbers, indent=2).replace("\n", "\n" + "  " * level)
+    assert _indented(numbers, depth, level) == want
 
 
 class FloatSub(float):

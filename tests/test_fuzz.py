@@ -134,7 +134,7 @@ def test_mutated_config(tmp_path_factory, doc):
 
 junk = st.one_of(
     st.sampled_from([
-        10**400, -(10**400), True, False, "0.5", "", None, math.nan, math.inf, -math.inf,
+        10**400, -(10**400), 10**5000, True, False, "0.5", "", None, math.nan, math.inf, -math.inf,
         Decimal("0.5"), Decimal("NaN"), Fraction(1, 2), numpy.float64(0.5), numpy.float64(math.nan),
         numpy.float64(math.inf), numpy.float64(2.0),
     ]),

@@ -1,7 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
 
-from cpfs import MAX_PRECISION, DomainError, format_fixed, round_half_up
+import pytest
+from hypothesis import example, given, strategies as st
+
+from cpfs import MAX_PRECISION, DomainError, ParseError, format_fixed, round_half_up
+from cpfs.serialize import parse_config
+from helpers import reference_format_fixed, reference_round_half_up
 
 
 @pytest.mark.parametrize(
@@ -42,3 +46,67 @@ def test_precision_above_the_bound_is_a_domain_error(fn, digits):
 def test_precision_must_be_a_non_negative_integer(fn, digits):
     with pytest.raises(DomainError, match="non-negative integer"):
         fn(0.5, digits)
+
+
+def test_a_precision_too_long_to_print_is_reported_without_printing_it():
+    for fn in (format_fixed, round_half_up):
+        with pytest.raises(DomainError, match="too large to print"):
+            fn(0.5, 10**5000)
+    with pytest.raises(ParseError, match="too large to print"):
+        parse_config({"precision": 10**5000})
+
+
+def mismatches(values, digits):
+    """The values whose rounding at ``digits`` differs from the reference:
+    ``format_fixed`` as text, ``round_half_up`` bit for bit against the float
+    of that text, which is what ``reference_round_half_up`` returns."""
+    texts = [reference_format_fixed(x, digits) for x in values]
+    return [
+        x for x, text in zip(values, texts)
+        if format_fixed(x, digits) != text or round_half_up(x, digits).hex() != float(text).hex()
+    ]
+
+
+FIVE_DECIMAL_GRID = [k / 100_000 for k in range(-100_000, 100_001)]
+
+
+@pytest.mark.parametrize("digits", range(10))
+def test_the_five_decimal_grid_rounds_as_the_reference(digits):
+    assert mismatches(FIVE_DECIMAL_GRID, digits) == []
+
+
+@pytest.mark.parametrize("digits", range(7))
+def test_both_neighbours_of_every_tie_round_as_the_reference(digits):
+    scale = 10**digits
+    ties = [(j + 0.5) / scale for j in range(scale)]
+    near = [math.nextafter(t, 0.0) for t in ties] + [math.nextafter(t, 2.0) for t in ties]
+    assert mismatches(near, digits) == []
+
+
+SUBNORMALS = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310]
+
+
+@pytest.mark.parametrize("digits", range(MAX_PRECISION + 1))
+def test_zeros_ones_and_subnormals_round_as_the_reference(digits):
+    assert mismatches([s * x for x in (0.0, 1.0, *SUBNORMALS) for s in (1.0, -1.0)], digits) == []
+
+
+@given(st.one_of(st.floats(-1.0, 1.0), st.floats()), st.integers(0, MAX_PRECISION))
+@example(1e300, 2)
+def test_any_float_rounds_as_the_reference(x, digits):
+    try:
+        want = reference_format_fixed(x, digits)
+    except DomainError:
+        for fn in (format_fixed, round_half_up):
+            with pytest.raises(DomainError):
+                fn(x, digits)
+    else:
+        assert format_fixed(x, digits) == want
+        assert round_half_up(x, digits).hex() == reference_round_half_up(x, digits).hex()
+        assert float(want).hex() == reference_round_half_up(x, digits).hex()  # as mismatches assumes
+
+
+@pytest.mark.parametrize("fn", [format_fixed, round_half_up])
+def test_a_value_that_needs_more_than_28_digits_is_a_domain_error(fn):
+    with pytest.raises(DomainError, match="28 digits"):
+        fn(1e300, 2)

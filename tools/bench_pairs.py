@@ -1,0 +1,135 @@
+"""Benchmark this checkout against a parent revision in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload panel --workload tall \
+        --pairs 10 --seconds 20 --seed 700 --out BENCH_7.json --change "what changed"
+
+The parent revision's committed files are exported (``git archive``) into a
+temporary directory; the change side is this checkout's working tree.  Pair
+``i`` runs ``perfbench/run.py --workload W --seed SEED+i --seconds S`` once on
+each side, the parent first in even pairs and the change first in odd ones,
+so a drift in host speed falls on both sides alike.  A run that exits
+non-zero stops the script.
+
+The output file holds every run record and result, and a summary per
+workload: for each end-to-end metric of ``BENCHMARK.json``, both sides'
+values, medians and quartiles, the parent's interquartile range, and
+``wins``, the number of pairs in which the change was better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
+def export(revision: str, into: Path) -> None:
+    """The files committed at ``revision``, written under ``into``."""
+    with tempfile.TemporaryFile() as archive:
+        subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT, check=True, stdout=archive)
+        archive.seek(0)
+        with tarfile.open(fileobj=archive) as tar:
+            tar.extractall(into)
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run record and result ``perfbench/run.py`` prints as its last two lines."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    record, result = done.stdout.splitlines()[-2:]
+    return {"record": json.loads(record), "result": json.loads(result)}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    summary = {}
+    for workload in sorted({p["workload"] for p in pairs}):
+        runs = [p for p in pairs if p["workload"] == workload]
+        side = {s: [r[s]["result"] for r in runs] for s in ("parent", "change")}
+        entry = {"failed": {s: sum(r["failed"] for r in side[s]) for s in side}}
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            values = {s: [r["metrics"][name]["value"] for r in side[s]] for s in side}
+            q = {s: quartiles(values[s]) for s in side}
+            entry[name] = {
+                "parent": values["parent"],
+                "change": values["change"],
+                "parent_median": statistics.median(values["parent"]),
+                "change_median": statistics.median(values["change"]),
+                "parent_quartiles": q["parent"],
+                "change_quartiles": q["change"],
+                "parent_iqr": q["parent"][2] - q["parent"][0],
+                "better": metric["better"],
+                "wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
+            }
+        summary[workload] = entry
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, required=True, help="e.g. BENCH_7.json")
+    parser.add_argument("--change", default="", help="one line on what the change does")
+    parser.add_argument("--claim", default=None, help="the metric the change claims to improve")
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        export(parent_commit, parent)
+        for workload in args.workload:
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"workload": workload, "pair": i, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(parent if side == "parent" else ROOT, workload, seed, args.seconds)
+                    solve_ms = pair[side]["result"]["metrics"]["solve_p50_ms"]["value"]
+                    print(f"{workload} pair {i} {side}: solve_p50_ms {solve_ms:.2f}", file=sys.stderr)
+                pairs.append(pair)
+
+    machine = {k: v for k, v in pairs[0]["parent"]["record"]["provenance"].items()
+               if k not in ("git_commit", "seed")}
+    doc = {
+        "change": args.change,
+        "claim": args.claim,
+        "command": (f"python3 perfbench/run.py --workload <workload> --seed <{args.seed}+pair> "
+                    f"--seconds {args.seconds:g}"),
+        "machine": machine,
+        "note": "the parent side ran on the committed files of parent_commit, exported by git "
+                "archive; the change side ran on the working tree; pairs alternate which side "
+                "runs first",
+        "pairs": pairs,
+        "parent_commit": parent_commit,
+        "summary": summarize(pairs, benchmark["end_to_end"]),
+    }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
