@@ -54,7 +54,6 @@ __all__ = [
     "cpwa",
     "cpwg",
     "OPERATOR_NAMES",
-    "AggregationOperator",
     "make_operator",
     "aggregate",
 ]

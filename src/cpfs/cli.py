@@ -34,7 +34,7 @@ def _operator_name(raw: str) -> str:
 def _precision(text: str) -> int:
     try:
         return require_precision(int(text) if text.isdecimal() else None)
-    except DomainError:
+    except (DomainError, ValueError):  # int() refuses more than 4,300 digits
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer at most {MAX_PRECISION}, got {text!r}"
         ) from None
@@ -61,14 +61,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     rows = load_collections(args.input)
-    precision = args.precision if args.precision is not None else 2
     print("label,mu,nu,r")
     for label, (_, values) in zip(_csv_fields([label for label, _ in rows]), rows):
-        v = fuse(values)
-        print(
-            f"{label},{format_fixed(v.mu, precision)},"
-            f"{format_fixed(v.nu, precision)},{format_fixed(v.r, precision)}"
-        )
+        print(label, *(format_fixed(x, args.precision) for x in fuse(values).as_tuple()), sep=",")
     return 0
 
 
@@ -115,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuse = sub.add_parser("fuse", help="fuse point-value collections into circular values")
     p_fuse.add_argument("--input", required=True, help="collections JSON")
-    p_fuse.add_argument("--precision", type=_precision, default=None)
+    p_fuse.add_argument("--precision", type=_precision, default=2)
     p_fuse.set_defaults(func=_cmd_fuse)
 
     p_comp = sub.add_parser("complexity", help="evaluate the operation-count model")
@@ -144,10 +139,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CircularFuzzyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (CircularFuzzyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

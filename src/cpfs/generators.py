@@ -42,7 +42,6 @@ __all__ = [
     "GeneratorPair",
     "algebraic_generator",
     "algebraic_dual_generator",
-    "membership_side",
     "radius_generator",
     "RADIUS_GENERATOR_NAMES",
     "algebraic_pair",
@@ -112,25 +111,6 @@ def algebraic_dual_generator() -> Generator:
     return Generator("algebraic_dual", _alg_dual_forward, _alg_dual_inverse, increasing=True)
 
 
-def membership_side(g: Generator) -> Generator:
-    """Derive the membership-side generator h(t) = g(sqrt(1 - t**2)).
-
-    For the built-in product family prefer :func:`algebraic_dual_generator`,
-    whose closed form is numerically tighter near the boundary.
-    """
-    if g.increasing:
-        raise DomainError("membership_side expects a decreasing (t-norm kind) generator")
-
-    def forward(t: float, _g: Callable[[float], float] = g.forward) -> float:
-        return _g(math.sqrt(max(0.0, 1.0 - t * t)))
-
-    def inverse(s: float, _ginv: Callable[[float], float] = g.inverse) -> float:
-        v = _ginv(s)
-        return math.sqrt(max(0.0, 1.0 - v * v))
-
-    return Generator(f"{g.name}_dual", forward, inverse, increasing=True)
-
-
 #: Registered radius-generator identifiers.
 RADIUS_GENERATOR_NAMES = ("algebraic_q", "algebraic_p")
 
@@ -167,11 +147,6 @@ class GeneratorPair:
             raise DomainError("g must be a decreasing (t-norm kind) generator")
         if not self.h.increasing:
             raise DomainError("h must be an increasing (t-conorm kind) generator")
-
-    @classmethod
-    def from_tnorm_generator(cls, g: Generator, q: Generator | None = None) -> "GeneratorPair":
-        """Build a pair from a decreasing generator, deriving the membership side."""
-        return cls(g=g, h=membership_side(g), q=q if q is not None else g)
 
 
 def algebraic_pair(radius: str = "algebraic_q") -> GeneratorPair:

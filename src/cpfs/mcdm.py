@@ -43,10 +43,9 @@ from .fusion import _require_shape, build_circular_matrix
 from .generators import GeneratorPair
 from .rounding import round_half_up
 from .similarity import csm_to_ideal
-from .values import CPFV, PFV, _shared_pfv
+from .values import CPFV, PFV, _label, _shared_pfv
 
 __all__ = [
-    "Polarity",
     "DecisionProblem",
     "RankingEntry",
     "Ranking",
@@ -77,8 +76,8 @@ class DecisionProblem:
     experts: tuple[ExpertMatrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", tuple(str(a) for a in self.alternatives))
-        object.__setattr__(self, "criteria", tuple(str(c) for c in self.criteria))
+        object.__setattr__(self, "alternatives", tuple(map(_label, self.alternatives)))
+        object.__setattr__(self, "criteria", tuple(map(_label, self.criteria)))
         object.__setattr__(self, "polarity", tuple(self.polarity))
         if not isinstance(self.weights, WeightVector):
             object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))

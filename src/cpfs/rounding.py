@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from .errors import DomainError
 from .values import _real, _shown
 
-__all__ = ["MAX_PRECISION", "require_precision", "round_half_up", "format_fixed"]
+__all__ = ["MAX_PRECISION", "round_half_up", "format_fixed"]
 
 #: Largest number of decimals the default 28-digit decimal context can hold
 #: for every value in [0, 1]: ``1.0`` at 28 decimals needs 29 digits.

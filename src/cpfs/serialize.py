@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .errors import CircularFuzzyError, DomainError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
-from .values import PFV, _shared_pfv, _shown
+from .values import PFV, _label, _shared_pfv, _shown
 
 __all__ = [
     "parse_problem",
@@ -69,11 +69,13 @@ def _as_list(node: Any, where: str, source: str | None) -> list:
 
 def _as_label(node: Any, where: str, source: str | None) -> str:
     """``str(node)``, as text the output files and stdout can encode."""
-    label = str(node)
     try:
+        label = _label(node)
         label.encode("utf-8")
     except UnicodeEncodeError as e:  # a lone surrogate, which JSON can escape
         raise ParseError(f"label is not valid text: {e.reason}", location=where, source=source) from e
+    except CircularFuzzyError as e:
+        raise ParseError(str(e), location=where, source=source) from e
     return label
 
 

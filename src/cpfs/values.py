@@ -45,7 +45,6 @@ __all__ = [
     "PFV",
     "CPFV",
     "CPFS",
-    "RadiusMode",
     "validate_pfv",
     "validate_cpfv",
     "complement",
@@ -67,6 +66,14 @@ def _shown(value: object) -> str:
         return repr(value)
     except ValueError:  # over the interpreter's integer-to-string digit limit
         return "an integer too large to print"
+
+
+def _label(value: object) -> str:
+    """``str(value)``, or :class:`DomainError` for an integer too long to convert to text."""
+    try:
+        return str(value)
+    except ValueError:  # over the interpreter's integer-to-string digit limit
+        raise DomainError(f"a label must convert to text, got {_shown(value)}") from None
 
 
 def _real(value: float, name: str, error: type[CircularFuzzyError]) -> float:
@@ -202,7 +209,7 @@ class CPFS:
     elements: tuple[tuple[str, CPFV], ...]
 
     def __post_init__(self) -> None:
-        elems = tuple((str(label), value) for label, value in self.elements)
+        elems = tuple((_label(label), value) for label, value in self.elements)
         for label, value in elems:
             if not isinstance(value, CPFV):
                 raise OutOfRange(f"element {label!r} must be a CPFV, got {_shown(value)}")

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cpfs import (
     CPFS,
     CPFV,
+    Generator,
     GeneratorPair,
     WeightVector,
     algebraic_generator,
@@ -25,6 +26,7 @@ from cpfs import (
     multiply_general,
     multiply_minmax,
     power,
+    pythagorean_complement,
     tnorm_from_generator,
 )
 from helpers import (
@@ -36,10 +38,19 @@ from helpers import (
     reference_power,
 )
 
+G = algebraic_generator()
+# A user-supplied pair: the membership side h(t) = g(sqrt(1 - t**2)) built
+# from g alone, and g again on the radius side.
+DERIVED_H = Generator(
+    "derived_dual",
+    lambda t: G.forward(pythagorean_complement(t)),
+    lambda s: pythagorean_complement(G.inverse(s)),
+    increasing=True,
+)
 GENS = {
     "algebraic_q": algebraic_pair("algebraic_q"),
     "algebraic_p": algebraic_pair("algebraic_p"),
-    "derived": GeneratorPair.from_tnorm_generator(algebraic_generator()),
+    "derived": GeneratorPair(g=G, h=DERIVED_H, q=G),
 }
 TNORMS = [tnorm_from_generator(algebraic_generator()), lambda x, y: x * y, min]
 RADIUS_OPS = [min, max, lambda x, y: x * y]

@@ -12,7 +12,6 @@ from cpfs import (
     algebraic_dual_generator,
     algebraic_generator,
     intersect,
-    membership_side,
     multiply_minmax,
     tconorm_from_generator,
     tnorm_from_generator,
@@ -30,7 +29,6 @@ DOMAIN_ERRORS = {
     "intersect": lambda: intersect(S, S, "median"),
     "add_minmax": lambda: add_minmax(A, A, "median"),
     "multiply_minmax": lambda: multiply_minmax(A, A, "median"),
-    "membership_side": lambda: membership_side(H),
     "GeneratorPair.g": lambda: GeneratorPair(g=H, h=H, q=G),
     "GeneratorPair.h": lambda: GeneratorPair(g=G, h=G, q=G),
     "tnorm_from_generator": lambda: tnorm_from_generator(H),

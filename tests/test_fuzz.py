@@ -8,8 +8,8 @@ status 0 or 2.
 
 The public constructors and scalar operations get junk in place of numbers
 (huge integers, bools, strings, ``None``, non-finite floats, ``Decimal``,
-``Fraction``, numpy floats); they must return or raise a
-``CircularFuzzyError``, never another exception.
+``Fraction``, numpy floats), and the same junk as labels; they must return or
+raise a ``CircularFuzzyError``, never another exception.
 """
 
 import copy
@@ -19,12 +19,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cpfs import (
+    CPFS,
     CPFV,
     PFV,
     CircularFuzzyError,
+    DecisionProblem,
     ParseError,
     WeightVector,
     algebraic_pair,
@@ -162,3 +164,14 @@ def test_junk_numbers(a, b, c, center):
     for fn in (round_half_up, format_fixed):
         returns_or_raises_circular_fuzzy_error(fn, a, 2)
         returns_or_raises_circular_fuzzy_error(fn, 0.5, b)
+
+
+@given(junk, junk)
+@example(10**5000, 10**5000)
+def test_junk_labels(a, b):
+    returns_or_raises_circular_fuzzy_error(CPFS, ((a, CPFV.of(0.5, 0.5, 0.5)),))
+    returns_or_raises_circular_fuzzy_error(
+        DecisionProblem, (a,), (b,), ("benefit",), (1.0,), (((PFV(0.5, 0.5),),),)
+    )
+    parses_or_parse_error(parse_collections, {"elements": [{"label": a, "values": [[0.5, 0.5]]}]})
+    parses_or_parse_error(parse_problem, {**PROBLEM, "alternatives": [a, "A2", "A3", "A4", "A5"]})

@@ -9,7 +9,6 @@ from cpfs import (
     algebraic_generator,
     algebraic_pair,
     dual_tconorm,
-    membership_side,
     pythagorean_complement,
     radius_generator,
     tconorm_from_generator,
@@ -183,13 +182,6 @@ class TestInducedOperations:
 
 
 class TestGeneratorPair:
-    def test_membership_side_matches_closed_form(self):
-        derived = membership_side(algebraic_generator())
-        closed = algebraic_dual_generator()
-        for i in range(0, 1000):
-            t = i / 1000.0
-            assert abs(derived.forward(t) - closed.forward(t)) <= 1e-12
-
     def test_pair_relations(self):
         pair = algebraic_pair()
         g, h = pair.g, pair.h
@@ -205,11 +197,6 @@ class TestGeneratorPair:
             GeneratorPair(g=algebraic_dual_generator(), h=algebraic_dual_generator(), q=algebraic_generator())
         with pytest.raises(ValueError):
             GeneratorPair(g=algebraic_generator(), h=algebraic_generator(), q=algebraic_generator())
-
-    def test_from_tnorm_generator(self):
-        pair = GeneratorPair.from_tnorm_generator(algebraic_generator())
-        assert pair.q is pair.g
-        assert pair.h.increasing
 
 
 class TestRadiusGenerators:

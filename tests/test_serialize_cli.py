@@ -291,6 +291,20 @@ class TestCli:
         assert exc.value.code == 2
         assert "--precision: must be a non-negative integer at most 27" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--precision", "1" * 5000],
+            ["fuse", "--input", str(collections_path()), "--precision", "1" * 5000],
+        ],
+        ids=["solve", "fuse"],
+    )
+    def test_precision_over_the_integer_digit_limit_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:  # int() of over 4,300 digits raises ValueError
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision: must be a non-negative integer at most 27" in capsys.readouterr().err
+
     def test_largest_precision_solves(self, tmp_path, capsys):
         assert main(["solve", "--precision", "27", "--out-dir", str(tmp_path)]) == 0
         assert "ranking: A1 < A4 < A3 < A2 < A5" in capsys.readouterr().out
