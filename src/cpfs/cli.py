@@ -22,9 +22,9 @@ from .errors import CircularFuzzyError, DomainError
 from .fusion import fuse
 from .mcdm import complexity_estimate, complexity_sweep, solve
 from .rounding import MAX_PRECISION, format_fixed, require_precision
-from .serialize import _csv_fields, load_collections, load_config, load_problem, write_solve_tables
-
-_OPERATOR_ALIASES = {"q": "cpwa_q", "p": "cpwa_p"}
+from .serialize import _OPERATOR_ALIASES, _quoted, load_collections, load_config, load_problem
+from .serialize import write_solve_tables
+from .values import _shown
 
 
 def _operator_name(raw: str) -> str:
@@ -36,7 +36,7 @@ def _precision(text: str) -> int:
         return require_precision(int(text) if text.isdecimal() else None)
     except (DomainError, ValueError):  # int() refuses more than 4,300 digits
         raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer at most {MAX_PRECISION}, got {text!r}"
+            f"must be a non-negative integer at most {MAX_PRECISION}, got {_shown(text)}"
         ) from None
 
 
@@ -62,8 +62,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     rows = load_collections(args.input)
     print("label,mu,nu,r")
-    for label, (_, values) in zip(_csv_fields([label for label, _ in rows]), rows):
-        print(label, *(format_fixed(x, args.precision) for x in fuse(values).as_tuple()), sep=",")
+    for label, values in rows:
+        print(_quoted(label), *(format_fixed(x, args.precision) for x in fuse(values).as_tuple()), sep=",")
     return 0
 
 

@@ -30,6 +30,8 @@ __all__ = [
 class CircularFuzzyError(Exception):
     """Base class for all errors raised by this package."""
 
+    __str__ = Exception.__str__  # not KeyError's, which would quote the message
+
 
 class OutOfRange(CircularFuzzyError, ValueError):
     """A membership or non-membership component lies outside [0, 1]."""

@@ -49,10 +49,7 @@ def build_circular_matrix(
     first = expert_matrices[0]
     n_alt, n_crit = len(first), len(first[0]) if first else 0
     _require_shape(expert_matrices, n_alt, n_crit)
-    return [
-        [fuse([matrix[i][j] for matrix in expert_matrices]) for j in range(n_crit)]
-        for i in range(n_alt)
-    ]
+    return [list(map(fuse, zip(*rows))) for rows in zip(*expert_matrices)]
 
 
 def _require_shape(

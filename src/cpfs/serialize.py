@@ -26,13 +26,11 @@ formatting, ``\n`` line endings.
 
 from __future__ import annotations
 
-import csv
-import functools
-import io
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
+from .aggregation import OPERATOR_NAMES
 from .errors import CircularFuzzyError, DomainError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
@@ -219,15 +217,17 @@ def _as_digits(node: Any, where: str, source: str | None) -> int:
 
 
 _CONFIG_KEYS = ("operator", "precision", "aggregate_precision")
+#: Short names a config and ``cpfs complexity`` accept for two of :data:`OPERATOR_NAMES`.
+_OPERATOR_ALIASES = {"q": "cpwa_q", "p": "cpwa_p"}
 
 
 def parse_config(document: str | dict, source: str | None = None) -> dict:
     """Parse and validate a ``solve`` config document.
 
-    ``operator`` must be a string, ``precision`` an integer from 0 to
-    :data:`~cpfs.rounding.MAX_PRECISION` and ``aggregate_precision`` such an
-    integer or ``null``.  Returns the keys the document sets; any other key
-    is an error.
+    ``operator`` must be an operator name or alias, ``precision`` an integer
+    from 0 to :data:`~cpfs.rounding.MAX_PRECISION` and ``aggregate_precision``
+    such an integer or ``null``.  Returns the keys the document sets; any
+    other key is an error.
     """
     data = _decode(document, source)
     if not isinstance(data, dict):
@@ -239,9 +239,11 @@ def parse_config(document: str | dict, source: str | None = None) -> dict:
             )
     config = {}
     if "operator" in data:
-        if not isinstance(data["operator"], str):
+        names = [*OPERATOR_NAMES, *_OPERATOR_ALIASES]
+        if data["operator"] not in names:
             raise ParseError(
-                f"expected an operator name, got {data['operator']!r}", location="operator", source=source
+                f"unknown operator {_shown(data['operator'])}; expected one of {', '.join(names)}",
+                location="operator", source=source,
             )
         config["operator"] = data["operator"]
     if "precision" in data:
@@ -278,18 +280,12 @@ class _Formatted(dict):
         return s
 
 
-def _csv_fields(labels: Sequence[str]) -> list[str]:
-    """Each label as ``csv.writer`` writes it as one field of a row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    fields = []
-    for label in labels:
-        # A second, empty field: csv quotes a row's only field when it is empty.
-        writer.writerow((label, ""))
-        fields.append(buf.getvalue()[:-2])
-        buf.seek(0)
-        buf.truncate()
-    return fields
+def _quoted(label: str) -> str:
+    """``label`` as one CSV field (RFC 4180): in double quotes, each inner quote
+    doubled, if it holds a comma, a double quote or a line break; else as it is."""
+    if "," in label or '"' in label or "\n" in label or "\r" in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
 
 def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: int = 2) -> dict[str, Path]:
@@ -304,7 +300,7 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
     score = _Formatted(3)
     problem = result.problem
     # Each label is quoted once; formatted numbers never need quoting.
-    alts, crits = _csv_fields(problem.alternatives), _csv_fields(problem.criteria)
+    alts, crits = ([_quoted(x) for x in labels] for labels in (problem.alternatives, problem.criteria))
     quoted = dict(zip(problem.alternatives, alts))
 
     files: dict[str, Path] = {}
@@ -354,52 +350,40 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
 
 
 # ---------------------------------------------------------------------------
-# result.json: each list of numbers is written on one line by the C encoder,
-# then indented as ``json.dumps(..., indent=2)`` would indent it.
+# result.json: each list of numbers laid out as ``json.dumps(..., indent=2)`` does.
 # ---------------------------------------------------------------------------
 
-#: How deep each list of numbers in a result document nests.
-_NUMBER_LISTS = {"aggregated": 2, "circular_matrix": 3, "scored": 2, "similarities": 1, "weights": 1}
+#: The lists of floats or of ``[mu, nu, r]`` triples in a result document.
+_NUMBER_LISTS = {"aggregated", "circular_matrix", "scored", "similarities", "weights"}
 
 
-@functools.cache
-def _layout(depth: int, level: int) -> tuple[str, tuple[tuple[str, str], ...], str]:
-    """Head, separators (one-line and indented) and tail of a list nested
-    ``depth`` deep down to numbers and indented ``level`` steps.  The longest
-    separator comes first: a shorter one is part of it."""
-    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
-    opens = lambda d, n: "".join("[" + pad[d + k] for k in range(1, n + 1))  # noqa: E731
-    closes = lambda n: "".join(pad[depth - k] + "]" for k in range(1, n + 1))  # noqa: E731
-    seps = tuple(("]" * j + ", " + "[" * j, closes(j) + "," + pad[depth - j] + opens(depth - j, j))
-                 for j in range(depth - 1, -1, -1))
-    return opens(0, depth), seps, closes(depth)
-
-
-def _indented(numbers: list, depth: int, level: int) -> str:
-    """``json.dumps(numbers, indent=2)`` indented ``level`` steps.  The repr of
-    a number holds no bracket and no ``", "``, so every separator of the
-    one-line text is a run of brackets around ``", "``."""
-    text = json.dumps(numbers)
-    if "[]" in text:  # an empty list breaks the bracket runs
-        return json.dumps(numbers, indent=2).replace("\n", "\n" + "  " * level)
-    head, seps, tail = _layout(depth, level)
-    for one_line, indented in seps:
-        text = text.replace(one_line, indented)
-    return head + text[depth:-depth] + tail
+def _indented(numbers: list, level: int) -> str:
+    """``json.dumps(numbers, indent=2)`` indented ``level`` steps, for a list of
+    floats or of ``[mu, nu, r]`` triples of plain floats.  ``json`` writes a
+    float as ``float.__repr__`` does."""
+    if not numbers:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    if type(numbers[0]) is list:
+        inner = pad + "  "
+        template = f"[{inner}%r,{inner}%r,{inner}%r{pad}]"
+        items = [template % (mu, nu, r) for mu, nu, r in numbers]
+    else:
+        items = map(float.__repr__, numbers)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
 def _result_json(doc: dict) -> Iterator[str]:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` in chunks."""
     sep = "{\n"
-    for key in sorted(doc):
-        value, depth = doc[key], _NUMBER_LISTS.get(key)
+    for key, value in sorted(doc.items()):
         yield f"{sep}  {json.dumps(key)}: "
-        if depth == 3 and value:  # the circular matrix, one alternative at a time
+        if key == "circular_matrix" and value:  # one alternative at a time
             for i, row in enumerate(value):
-                yield ("," if i else "[") + "\n    " + _indented(row, 2, 2)
+                yield ("," if i else "[") + "\n    " + _indented(row, 2)
             yield "\n  ]"
-        elif depth:
-            yield _indented(value, depth, 1)
+        elif key in _NUMBER_LISTS:
+            yield _indented(value, 1)
         else:
             yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
         sep = ",\n"

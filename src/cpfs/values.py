@@ -61,11 +61,13 @@ RadiusMode = Literal["min", "max"]
 
 
 def _shown(value: object) -> str:
-    """``repr(value)``, or a note for an integer too long to convert to text."""
+    """``repr(value)`` for an error message: cut after 16 characters, so a huge
+    input cannot flood it, or a note for an integer too long to convert to text."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:  # over the interpreter's integer-to-string digit limit
         return "an integer too large to print"
+    return text if len(text) <= 16 else text[:16] + "..."
 
 
 def _label(value: object) -> str:

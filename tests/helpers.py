@@ -181,11 +181,17 @@ def reference_format_fixed(x, digits: int = 2) -> str:
 
 
 def _reference_csv(path: Path, header, rows) -> None:
+    """Each row through ``csv.writer``, ended by ``\n``.  The writer's line
+    terminator is ``\r\n`` so that it quotes a field holding either break."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in [header, *rows]:
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def reference_solve_tables(result, out: Path, precision: int = 2) -> None:

@@ -8,6 +8,8 @@ from cpfs import (
     CircularFuzzyError,
     DomainError,
     GeneratorPair,
+    UnknownGenerator,
+    UnknownOperator,
     add_minmax,
     algebraic_dual_generator,
     algebraic_generator,
@@ -42,3 +44,9 @@ def test_domain_errors_are_in_the_hierarchy(call):
         call()
     assert isinstance(info.value, CircularFuzzyError)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("error", [UnknownOperator, UnknownGenerator])
+def test_a_lookup_error_prints_its_message_unquoted(error):
+    # KeyError's own __str__ would print the repr of the message.
+    assert str(error("unknown name 'x'")) == "unknown name 'x'"

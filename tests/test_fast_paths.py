@@ -1,11 +1,12 @@
 """The two fast paths of ``cpfs.serialize`` against their references.
 
 ``write_solve_tables`` formats each distinct value once and writes the
-normalized matrix a line at a time, quoting each label once; its files must
-equal those of a writer that formats every cell and writes every row through
-``csv.writer``, whatever the labels hold, and its ``result.json``, written in
-chunks with the lists of numbers through the C encoder, must equal
-``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem`` and
+normalized matrix a line at a time, quoting each label once by the RFC 4180
+rule; its files must equal those of a writer that formats every cell and
+writes every row through ``csv.writer``, whatever the labels hold, and its
+``result.json``, written in chunks with each list of numbers laid out by
+plain formatting (a float's repr, or one template per ``[mu, nu, r]``
+triple), must equal ``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem`` and
 ``parse_collections`` take pairs of floats without the per-item checks and
 build each distinct pair once; they must accept and reject the same
 documents, with the same values and the same located errors, as a parser
@@ -134,14 +135,26 @@ def test_case_study_result_json_is_indented_json(operator, precision, tmp_path):
     assert_result_json_is_indented_json(result, tmp_path, precision)
 
 
+def laid_out(numbers, depth: int, level: int) -> str:
+    """``_indented`` of a list of floats (depth 1) or of triples (depth 2); a
+    matrix of triples (depth 3) one row at a time, each a level deeper, as
+    ``result.json`` holds the circular matrix."""
+    if depth < 3:
+        return _indented(numbers, level)
+    pad = "\n" + "  " * (level + 1)
+    return "[" + ",".join(pad + _indented(row, level + 1) for row in numbers) + pad[:-2] + "]"
+
+
 @pytest.mark.parametrize("numbers, depth", [
-    ([], 1), ([[]], 2), ([[], [0.5]], 2), ([0.5], 1), ([-0.0, 1.0, 1e-300], 1),
-    ([[0.5, -0.0], [1.0]], 2), ([[[0.1, 0.2], [0.3]], [[0.4]]], 3), ([[[]]], 3),
+    ([], 1), ([[0.5, 0.25, 0.0]], 2), ([[-0.0, 1e-300, 5e-324], [1.0, 1 / 3, 0.1]], 2),
+    ([0.5], 1), ([-0.0, 1e-300, 5e-324, np.float64(0.5), np.float64(1 / 3)], 1),
+    ([[0.1, 0.2, 0.3]] * 3, 2), ([[[0.1, 0.2, 0.3], [0.4, -0.0, 1.0]], [[5e-324, 0.0, 0.5]]], 3),
+    ([[]], 3),
 ])
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_a_list_of_numbers_is_indented_as_json_dumps_does(numbers, depth, level):
     want = json.dumps(numbers, indent=2).replace("\n", "\n" + "  " * level)
-    assert _indented(numbers, depth, level) == want
+    assert laid_out(numbers, depth, level) == want
 
 
 class FloatSub(float):

@@ -56,6 +56,17 @@ def test_a_precision_too_long_to_print_is_reported_without_printing_it():
         parse_config({"precision": 10**5000})
 
 
+def test_a_long_precision_is_shown_cut_short():
+    # 4,000 digits convert to text, but a message quotes only the first 16.
+    for fn in (format_fixed, round_half_up):
+        with pytest.raises(DomainError) as info:
+            fn(0.5, 10**3999)
+        assert str(info.value).endswith(f"got 1{'0' * 15}...")
+    with pytest.raises(ParseError) as info:
+        parse_config({"precision": 10**3999})
+    assert str(info.value).endswith(f"got 1{'0' * 15}...")
+
+
 def mismatches(values, digits):
     """The values whose rounding at ``digits`` differs from the reference:
     ``format_fixed`` as text, ``round_half_up`` bit for bit against the float

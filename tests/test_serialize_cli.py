@@ -151,6 +151,13 @@ class TestParseConfig:
     def test_empty_config(self):
         assert parse_config({}) == {}
 
+    def test_operator_must_be_a_name_or_alias(self):
+        for name in ("cpwa_q", "cpwa_p", "cpwg_q", "cpwg_p", "q", "p"):
+            assert parse_config({"operator": name}) == {"operator": name}
+        for bad in ("bogus", "Q", "cpwa", ["cpwa_q"], 1):
+            with pytest.raises(ParseError, match=r"^cfg\.json: operator: unknown operator"):
+                parse_config({"operator": bad}, source="cfg.json")
+
 
 class TestWriteSolveTables:
     def test_files_written(self, tmp_path):
@@ -303,7 +310,32 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:  # int() of over 4,300 digits raises ValueError
             main(argv)
         assert exc.value.code == 2
-        assert "--precision: must be a non-negative integer at most 27" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--precision: must be a non-negative integer at most 27" in err
+        assert len(err.encode()) < 300  # the argument is echoed cut short
+
+    def test_config_precision_with_many_digits_is_echoed_cut_short(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"precision": ' + "1" * 4000 + "}")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: precision: expected a non-negative integer at most 27, got {'1' * 16}..." in err
+        assert len(err.encode()) - len(str(cfg)) < 300
+
+    def test_unknown_config_operator_is_located(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"operator": "bogus"}')
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: operator: unknown operator 'bogus'; "
+            "expected one of cpwa_q, cpwa_p, cpwg_q, cpwg_p, q, p\n"
+        )
+
+    def test_unknown_complexity_operator_message_is_unquoted(self, capsys):
+        assert main(["complexity", "5", "5", "3", "--operator", "bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown operator 'bogus'; expected one of ('cpwa_q', 'cpwa_p', 'cpwg_q', 'cpwg_p')\n"
+        )
 
     def test_largest_precision_solves(self, tmp_path, capsys):
         assert main(["solve", "--precision", "27", "--out-dir", str(tmp_path)]) == 0
@@ -342,6 +374,28 @@ class TestCli:
         assert main(["fuse", "--input", str(doc)]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows == [["label", "mu", "nu", "r"]] + [[x, "0.50", "0.50", "0.00"] for x in labels]
+
+    def test_labels_with_carriage_returns_read_back(self, tmp_path, capsys):
+        # RFC 4180 quotes every line break, "\r" alone included.
+        labels = ["cr\rx", "\r", "a\r\nb"]
+        doc = json.loads(case_study_path().read_text())
+        doc["alternatives"][:3] = doc["criteria"][:3] = labels
+        problem = tmp_path / "cr.json"
+        problem.write_text(json.dumps(doc))
+        out = tmp_path / "tables"
+        assert main(["solve", "--input", str(problem), "--out-dir", str(out)]) == 0
+        for path in sorted(out.glob("*.csv")):
+            with path.open(newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            for column, names in (("alternative", doc["alternatives"]), ("criterion", doc["criteria"])):
+                if column in header:
+                    assert {row[header.index(column)] for row in rows} == set(names), path.name
+        collections = tmp_path / "collections.json"
+        collections.write_text(json.dumps({"elements": [{"label": x, "values": [[0.5, 0.5]]} for x in labels]}))
+        capsys.readouterr()
+        assert main(["fuse", "--input", str(collections)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert [row[0] for row in rows] == ["label"] + labels
 
     def test_fuse_single_value_row_has_zero_radius(self, tmp_path, capsys):
         doc = tmp_path / "one.json"
