@@ -34,19 +34,20 @@ Weight handling:
   decreasing radius generator; this falls out of the extended-value
   conventions, no special case.
 
-The four named operator variants are exposed through :data:`OPERATOR_NAMES`
-and :func:`make_operator` / :func:`aggregate`.
+The four operator variants, named in :data:`OPERATOR_NAMES` (or ``q``/``p`` for
+``cpwa_q``/``cpwa_p``), are built by :func:`make_operator` and :func:`aggregate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyInput, InvalidWeights, LengthMismatch, UnknownOperator
 from .generators import Generator, GeneratorPair, algebraic_pair
-from .values import CPFV, _require_component
+from .values import CPFV, _require_component, _require_count, _shown
 
 __all__ = [
     "WEIGHT_SUM_TOL",
@@ -85,8 +86,7 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
-        if n <= 0:
-            raise InvalidWeights(f"cannot build a uniform weight vector of length {n}")
+        n = _require_count(n, "the length of a uniform weight vector", 1, InvalidWeights)
         return cls(tuple(1.0 / n for _ in range(n)))
 
     def __len__(self) -> int:
@@ -141,25 +141,32 @@ def cpwg(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = N
 
 #: Identifiers of the four built-in operator variants.
 OPERATOR_NAMES = ("cpwa_q", "cpwa_p", "cpwg_q", "cpwg_p")
+#: Each operator name with the identifier it denotes; ``q``, ``p`` are short for ``cpwa_q``, ``cpwa_p``.
+_OPERATORS = {**{name: name for name in OPERATOR_NAMES}, "q": "cpwa_q", "p": "cpwa_p"}
 
 AggregationOperator = Callable[[Sequence[CPFV], WeightVector], CPFV]
 
 
+def _operator_name(name: str) -> str:
+    """The identifier an operator name denotes, or :class:`UnknownOperator`: the one
+    rule for operator names.  A non-string is rejected before it is looked up."""
+    if isinstance(name, str) and name in _OPERATORS:
+        return _OPERATORS[name]
+    raise UnknownOperator(f"unknown operator {_shown(name)}; expected one of {', '.join(_OPERATORS)}")
+
+
 def make_operator(name: str, gens: GeneratorPair | None = None) -> AggregationOperator:
-    """Build an aggregation callable from one of the registered identifiers.
+    """Build an aggregation callable from one of :data:`OPERATOR_NAMES` or ``q``/``p``.
 
     The suffix picks the radius generator ("_q" decreasing, "_p" increasing);
-    an explicit ``gens`` overrides it entirely.
+    an explicit ``gens`` overrides it entirely.  The callable's ``__name__`` is
+    the identifier, e.g. ``"cpwa_q"`` for ``"q"``.
     """
-    if name not in OPERATOR_NAMES:
-        raise UnknownOperator(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
+    name = _operator_name(name)
     if gens is None:
         gens = algebraic_pair("algebraic_q" if name.endswith("_q") else "algebraic_p")
-    fn = cpwa if name.startswith("cpwa") else cpwg
-
-    def operator(values: Sequence[CPFV], w: WeightVector, _fn=fn, _gens=gens) -> CPFV:
-        return _fn(values, w, _gens)
-
+    operator = partial(cpwa if name.startswith("cpwa") else cpwg, gens=gens)
+    operator.__name__ = name
     return operator
 
 
@@ -169,5 +176,5 @@ def aggregate(
     w: WeightVector,
     gens: GeneratorPair | None = None,
 ) -> CPFV:
-    """One-shot aggregation by operator identifier."""
+    """One-shot aggregation by operator name."""
     return make_operator(name, gens)(values, w)

@@ -16,19 +16,15 @@ import argparse
 import sys
 from typing import Sequence
 
-from .aggregation import OPERATOR_NAMES
+from .aggregation import _operator_name
 from .datasets import case_study_path
 from .errors import CircularFuzzyError, DomainError
 from .fusion import fuse
 from .mcdm import complexity_estimate, complexity_sweep, solve
 from .rounding import MAX_PRECISION, format_fixed, require_precision
-from .serialize import _OPERATOR_ALIASES, _quoted, load_collections, load_config, load_problem
+from .serialize import _quoted, load_collections, load_config, load_problem
 from .serialize import write_solve_tables
 from .values import _shown
-
-
-def _operator_name(raw: str) -> str:
-    return _OPERATOR_ALIASES.get(raw, raw)
 
 
 def _precision(text: str) -> int:
@@ -42,7 +38,8 @@ def _precision(text: str) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = {} if args.config is None else load_config(args.config)
-    operator = _operator_name(args.operator or config.get("operator", "cpwa_q"))
+    operator = args.operator if args.operator is not None else config.get("operator", "cpwa_q")
+    operator = _operator_name(operator)
     precision = args.precision if args.precision is not None else config.get("precision", 2)
     aggregate_precision = config.get("aggregate_precision", precision)
 
@@ -68,16 +65,15 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    operator = _operator_name(args.operator)
     if args.sweep:
         print("k,n,m,count")
         rows = complexity_sweep(
-            range(2, args.k + 1), range(2, args.n + 1), range(1, args.m + 1), operator
+            range(2, args.k + 1), range(2, args.n + 1), range(1, args.m + 1), args.operator
         )
         for k, n, m, count in rows:
             print(f"{k},{n},{m},{count}")
     else:
-        print(complexity_estimate(args.k, args.n, args.m, operator))
+        print(complexity_estimate(args.k, args.n, args.m, args.operator))
     return 0
 
 
@@ -102,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--config", default=None, help="config JSON (operator, precision)")
     p_solve.add_argument("--out-dir", default=None, help="directory for CSV/JSON tables")
-    p_solve.add_argument("--operator", choices=OPERATOR_NAMES, default=None)
+    p_solve.add_argument(
+        "--operator", default=None, help="operator name, or 'q'/'p' (default: config, else cpwa_q)"
+    )
     p_solve.add_argument(
         "--precision", type=_precision, default=None, help="display decimals (default 2)"
     )
@@ -119,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("m", type=int, help="experts count (>= 1)")
     p_comp.add_argument(
         "--operator", default="cpwa_q",
-        help="operator name, or 'q'/'p' for the variant family (default cpwa_q)",
+        help="operator name, or 'q'/'p' for cpwa_q/cpwa_p (default cpwa_q)",
     )
     p_comp.add_argument(
         "--sweep", action="store_true",

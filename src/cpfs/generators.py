@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, UnknownGenerator
+from .values import _shown
 
 __all__ = [
     "Generator",
@@ -126,7 +127,7 @@ def radius_generator(name: str) -> Generator:
     if name == "algebraic_p":
         return algebraic_dual_generator()
     raise UnknownGenerator(
-        f"unknown radius generator {name!r}; expected one of {RADIUS_GENERATOR_NAMES}"
+        f"unknown radius generator {_shown(name)}; expected one of {RADIUS_GENERATOR_NAMES}"
     )
 
 

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .aggregation import AggregationOperator, OPERATOR_NAMES, WeightVector, make_operator
+from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
 from .errors import (
     ConstraintViolation,
     DegenerateCenter,
@@ -37,13 +37,11 @@ from .errors import (
     DomainError,
     EmptyInput,
     LengthMismatch,
-    UnknownOperator,
 )
 from .fusion import _require_shape, build_circular_matrix
-from .generators import GeneratorPair
 from .rounding import round_half_up
 from .similarity import csm_to_ideal
-from .values import CPFV, PFV, _label, _shared_pfv
+from .values import CPFV, PFV, _label, _require_count, _shared_pfv, _shown
 
 __all__ = [
     "DecisionProblem",
@@ -100,7 +98,7 @@ class DecisionProblem:
             )
         for i, p in enumerate(self.polarity):
             if p not in ("benefit", "cost"):
-                raise DomainError(f"polarity[{i}] must be 'benefit' or 'cost', got {p!r}")
+                raise DomainError(f"polarity[{i}] must be 'benefit' or 'cost', got {_shown(p)}")
         if len(self.weights) != len(self.criteria):
             raise LengthMismatch(
                 f"got {len(self.weights)} weights for {len(self.criteria)} criteria"
@@ -228,23 +226,18 @@ def solve(
     problem: DecisionProblem,
     operator: str | AggregationOperator = "cpwa_q",
     *,
-    gens: GeneratorPair | None = None,
     aggregate_precision: int | None = 2,
 ) -> PipelineResult:
     """Run the full pipeline and return the ranking with all intermediates.
 
-    ``operator`` is one of :data:`~cpfs.aggregation.OPERATOR_NAMES` or any
-    callable ``(values, weights) -> CPFV``.  ``gens`` overrides the generator
-    pair of a named operator.  ``aggregate_precision`` controls the
-    quantization applied to aggregated values before scoring (see module
-    docstring); ``None`` disables it.
+    ``operator`` is an operator name (see :func:`~cpfs.aggregation.make_operator`)
+    or any callable ``(values, weights) -> CPFV``, such as
+    ``make_operator("cpwa_q", gens)`` for other generators.  The result's
+    ``operator`` is the callable's ``__name__``, or ``"custom"`` if it has none.
+    ``aggregate_precision`` controls the quantization applied to aggregated
+    values before scoring (see module docstring); ``None`` disables it.
     """
-    if callable(operator) and not isinstance(operator, str):
-        op = operator
-        op_name = getattr(operator, "__name__", "custom")
-    else:
-        op = make_operator(operator, gens)
-        op_name = operator
+    op = operator if callable(operator) else make_operator(operator)
 
     normalized = normalize(problem)
     circular = build_circular_matrix(normalized.experts)
@@ -266,26 +259,17 @@ def solve(
         scored=scored,
         similarities=similarities,
         ranking=ranking,
-        operator=op_name,
+        operator=getattr(op, "__name__", "custom"),
     )
-
-
-def _require_count(value: int, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def complexity_estimate(k: int, n: int, m: int, operator: str = "cpwa_q") -> int:
     """Operation count of one pipeline run with ``k`` criteria, ``n``
     alternatives and ``m`` experts under the given operator variant."""
-    if operator not in OPERATOR_NAMES:
-        raise UnknownOperator(f"unknown operator {operator!r}; expected one of {OPERATOR_NAMES}")
-    k = _require_count(k, "k (criteria)", 2)
-    n = _require_count(n, "n (alternatives)", 2)
-    m = _require_count(m, "m (experts)", 1)
+    operator = _operator_name(operator)
+    k = _require_count(k, "k (criteria)", 2, DomainError)
+    n = _require_count(n, "n (alternatives)", 2, DomainError)
+    m = _require_count(m, "m (experts)", 1, DomainError)
     if operator.endswith("_q"):
         return k + 2 * k * n * (6 * m + 7) + 25 * n
     return k + 4 * k * n * (3 * m + 4) + 27 * n

@@ -30,8 +30,8 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .aggregation import OPERATOR_NAMES
-from .errors import CircularFuzzyError, DomainError, ParseError
+from .aggregation import _operator_name
+from .errors import CircularFuzzyError, DomainError, ParseError, UnknownOperator
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
 from .values import PFV, _label, _shared_pfv, _shown
@@ -94,7 +94,7 @@ def _as_pfv(node: Any, where: Callable[[], str], source: str | None, table: dict
         for k, x in enumerate(pair):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ParseError(
-                    f"expected a number, got {x!r}", location=f"{where()}[{k}]", source=source
+                    f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]", source=source
                 )
         try:
             mu, nu = float(pair[0]), float(pair[1])
@@ -217,17 +217,16 @@ def _as_digits(node: Any, where: str, source: str | None) -> int:
 
 
 _CONFIG_KEYS = ("operator", "precision", "aggregate_precision")
-#: Short names a config and ``cpfs complexity`` accept for two of :data:`OPERATOR_NAMES`.
-_OPERATOR_ALIASES = {"q": "cpwa_q", "p": "cpwa_p"}
 
 
 def parse_config(document: str | dict, source: str | None = None) -> dict:
     """Parse and validate a ``solve`` config document.
 
-    ``operator`` must be an operator name or alias, ``precision`` an integer
-    from 0 to :data:`~cpfs.rounding.MAX_PRECISION` and ``aggregate_precision``
-    such an integer or ``null``.  Returns the keys the document sets; any
-    other key is an error.
+    ``operator`` must be one of :data:`~cpfs.aggregation.OPERATOR_NAMES` or
+    ``q``/``p``, ``precision`` an integer from 0 to
+    :data:`~cpfs.rounding.MAX_PRECISION` and ``aggregate_precision`` such an
+    integer or ``null``.  Returns the keys the document sets, with their values
+    as given (``"q"`` stays ``"q"``); any other key is an error.
     """
     data = _decode(document, source)
     if not isinstance(data, dict):
@@ -239,12 +238,10 @@ def parse_config(document: str | dict, source: str | None = None) -> dict:
             )
     config = {}
     if "operator" in data:
-        names = [*OPERATOR_NAMES, *_OPERATOR_ALIASES]
-        if data["operator"] not in names:
-            raise ParseError(
-                f"unknown operator {_shown(data['operator'])}; expected one of {', '.join(names)}",
-                location="operator", source=source,
-            )
+        try:
+            _operator_name(data["operator"])
+        except UnknownOperator as err:
+            raise ParseError(str(err), location="operator", source=source) from err
         config["operator"] = data["operator"]
     if "precision" in data:
         config["precision"] = _as_digits(data["precision"], "precision", source)

@@ -28,6 +28,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal
 
@@ -81,7 +82,7 @@ def _label(value: object) -> str:
 def _real(value: float, name: str, error: type[CircularFuzzyError]) -> float:
     """``value`` as a finite float, or ``error``: the one check of every real input."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {_shown(value)}")
     try:
         x = float(value)
     except OverflowError:  # an integer beyond the float range; its repr may be too long to print
@@ -89,6 +90,14 @@ def _real(value: float, name: str, error: type[CircularFuzzyError]) -> float:
     if not math.isfinite(x):
         raise error(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _require_count(value: int, name: str, minimum: int, error: type[CircularFuzzyError]) -> int:
+    """``value`` as an integer from ``minimum`` to ``sys.maxsize`` (the longest a
+    sequence can be), or ``error``: the one check of every count."""
+    if not isinstance(value, int) or isinstance(value, bool) or not minimum <= value <= sys.maxsize:
+        raise error(f"{name} must be an integer from {minimum} to {sys.maxsize}, got {_shown(value)}")
+    return value
 
 
 def _require_component(value: float, name: str, error: type[CircularFuzzyError] = OutOfRange) -> float:
@@ -253,7 +262,7 @@ def radius_mode_op(mode: RadiusMode) -> Callable[[float, float], float]:
         return min
     if mode == "max":
         return max
-    raise DomainError(f"radius_mode must be 'min' or 'max', got {mode!r}")
+    raise DomainError(f"radius_mode must be 'min' or 'max', got {_shown(mode)}")
 
 
 def complement(a: CPFS) -> CPFS:

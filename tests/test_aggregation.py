@@ -64,6 +64,13 @@ class TestWeightVector:
         w = WeightVector.uniform(3)
         assert math.isclose(sum(w), 1.0, abs_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n", [0, -1, 2.5, "3", 10**400, True], ids=["0", "-1", "2.5", "'3'", "10**400", "True"]
+    )
+    def test_uniform_length_follows_the_count_rule(self, n):
+        with pytest.raises(InvalidWeights, match="must be an integer from 1 to"):
+            WeightVector.uniform(n)
+
 
 def _wprod(xs, ws):
     out = mpf(1)

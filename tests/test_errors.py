@@ -5,16 +5,20 @@ import pytest
 from cpfs import (
     CPFS,
     CPFV,
+    PFV,
     CircularFuzzyError,
     DomainError,
     GeneratorPair,
     UnknownGenerator,
     UnknownOperator,
+    WeightVector,
     add_minmax,
     algebraic_dual_generator,
     algebraic_generator,
+    complexity_estimate,
     intersect,
     multiply_minmax,
+    radius_generator,
     tconorm_from_generator,
     tnorm_from_generator,
     union,
@@ -44,6 +48,24 @@ def test_domain_errors_are_in_the_hierarchy(call):
         call()
     assert isinstance(info.value, CircularFuzzyError)
     assert isinstance(info.value, ValueError)
+
+
+#: Calls given a value no message should print in full: a 100 KB string, or an
+#: integer over the interpreter's 4,300-digit limit for conversion to text.
+LONG_VALUES = {
+    "PFV": lambda: PFV("x" * 100_000, 0.5),
+    "WeightVector": lambda: WeightVector(("w" * 100_000,)),
+    "complexity_estimate": lambda: complexity_estimate(-(10**5000), 5, 3),
+    "radius_generator": lambda: radius_generator(10**5000),
+    "add_minmax": lambda: add_minmax(A, A, 10**5000),
+}
+
+
+@pytest.mark.parametrize("call", LONG_VALUES.values(), ids=LONG_VALUES)
+def test_a_long_rejected_value_is_echoed_cut_short(call):
+    with pytest.raises(CircularFuzzyError) as info:
+        call()
+    assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize("error", [UnknownOperator, UnknownGenerator])

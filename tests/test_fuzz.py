@@ -6,10 +6,10 @@ in the tree, or perturbs a number.  The matching ``parse_*`` function must
 return or raise ``ParseError`` and nothing else, and ``cpfs`` must exit with
 status 0 or 2.
 
-The public constructors and scalar operations get junk in place of numbers
-(huge integers, bools, strings, ``None``, non-finite floats, ``Decimal``,
-``Fraction``, numpy floats), and the same junk as labels; they must return or
-raise a ``CircularFuzzyError``, never another exception.
+The public constructors, scalar operations and count arguments get junk in
+place of numbers (huge integers, bools, strings, ``None``, non-finite floats,
+``Decimal``, ``Fraction``, numpy floats), and the same junk as labels; they
+must return or raise a ``CircularFuzzyError``, never another exception.
 """
 
 import copy
@@ -32,6 +32,7 @@ from cpfs import (
     algebraic_pair,
     case_study_path,
     collections_path,
+    complexity_estimate,
     format_fixed,
     power,
     round_half_up,
@@ -161,6 +162,8 @@ def test_junk_numbers(a, b, c, center):
     returns_or_raises_circular_fuzzy_error(WeightVector, (a, b, c))
     returns_or_raises_circular_fuzzy_error(scalar_multiple, a, CPFV.of(0.5, 0.5, 0.5), GENS)
     returns_or_raises_circular_fuzzy_error(power, CPFV.of(0.5, 0.5, 0.5), a, GENS)
+    returns_or_raises_circular_fuzzy_error(WeightVector.uniform, a)
+    returns_or_raises_circular_fuzzy_error(complexity_estimate, a, b, c)
     for fn in (round_half_up, format_fixed):
         returns_or_raises_circular_fuzzy_error(fn, a, 2)
         returns_or_raises_circular_fuzzy_error(fn, 0.5, b)

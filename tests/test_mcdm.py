@@ -24,6 +24,7 @@ from cpfs import (
     complexity_sweep,
     csm_to_ideal,
     load_case_study,
+    make_operator,
     normalize,
     solve,
 )
@@ -189,9 +190,10 @@ class TestSolve:
             assert round(v.mu, 2) == v.mu
 
     def test_gens_override_matches_named_variant(self, problem):
-        via_gens = solve(problem, "cpwa_q", gens=algebraic_pair("algebraic_p"))
+        via_gens = solve(problem, make_operator("cpwa_q", algebraic_pair("algebraic_p")))
         named = solve(problem, "cpwa_p")
         assert via_gens.similarities == named.similarities
+        assert via_gens.operator == "cpwa_q"  # a built operator reports its identifier
 
     def test_custom_callable_operator(self, problem):
         def first_value(values, w):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,28 @@ class TestParseProblem:
         path.write_text(text)
         assert main(["solve", "--input", str(path)]) == 2
         assert "weights[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [
+            (("experts", 0, 0, 0), ["x" * 100_000, 0.5], r"experts\[0\]\[0\]\[0\]\[0\]"),
+            (("polarity", 0), "x" * 100_000, r"polarity\[0\]"),
+            (("weights", 0), "w" * 100_000, r"weights\[0\]"),
+        ],
+        ids=["cell", "polarity", "weight"],
+    )
+    def test_a_long_rejected_value_is_echoed_cut_short(self, tmp_path, capsys, path, value, location):
+        doc = minimal_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(location + r".*'[xw]{15}\.\.\.$", err.strip())
+        assert len(err.encode()) - len(str(bad)) < 300
 
     def test_integer_literal_over_the_digit_limit(self):
         text = json.dumps(minimal_doc()).replace("0.6,", "1" * 5000 + ",", 1)
@@ -334,7 +357,7 @@ class TestCli:
     def test_unknown_complexity_operator_message_is_unquoted(self, capsys):
         assert main(["complexity", "5", "5", "3", "--operator", "bogus"]) == 2
         assert capsys.readouterr().err == (
-            "error: unknown operator 'bogus'; expected one of ('cpwa_q', 'cpwa_p', 'cpwg_q', 'cpwg_p')\n"
+            "error: unknown operator 'bogus'; expected one of cpwa_q, cpwa_p, cpwg_q, cpwg_p, q, p\n"
         )
 
     def test_largest_precision_solves(self, tmp_path, capsys):
