@@ -11,7 +11,9 @@ of the corresponding pairwise operation over scalar multiples / powers.
 They are complement-duals, ``cpwg(values) = ~cpwa(~values)``, since the
 complement swaps ``mu`` and ``nu``.  Both call one kernel: ``cpwa`` with the
 membership/non-membership generators ``(h, g)``, ``cpwg`` with ``(g, h)``,
-so no value is complemented on the way.
+so no value is complemented on the way.  :func:`~cpfs.algebra.add` and
+:func:`~cpfs.algebra.scalar_multiple` are the same kernel with weights
+``(1, 1)`` and ``(lambda,)``.
 
 With the product family these reduce to
 
@@ -116,10 +118,11 @@ def _weighted(gen: Generator, xs: Sequence[float], ws: Sequence[float]) -> float
     return gen.inverse(total)
 
 
-def _weighted_mean(
-    values: Sequence[CPFV], w: WeightVector, mu_gen: Generator, nu_gen: Generator, r_gen: Generator
+def _generator_sum(
+    values: Sequence[CPFV], ws: Sequence[float], mu_gen: Generator, nu_gen: Generator, r_gen: Generator
 ) -> CPFV:
-    values, ws = _checked(values, w)
+    """``< mu_gen_inv(sum w_i mu_gen(mu_i)), ...; r_gen_inv(sum w_i r_gen(r_i)) >``: the one
+    generator formula behind the weighted operators, sums and scalar multiples."""
     return CPFV.of(
         _weighted(mu_gen, [v.mu for v in values], ws),
         _weighted(nu_gen, [v.nu for v in values], ws),
@@ -130,13 +133,13 @@ def _weighted_mean(
 def cpwa(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = None) -> CPFV:
     """Weighted arithmetic aggregation of circular values."""
     gens = gens if gens is not None else algebraic_pair()
-    return _weighted_mean(values, w, gens.h, gens.g, gens.q)
+    return _generator_sum(*_checked(values, w), gens.h, gens.g, gens.q)
 
 
 def cpwg(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = None) -> CPFV:
     """Weighted geometric aggregation of circular values: ``~cpwa(~values)``."""
     gens = gens if gens is not None else algebraic_pair()
-    return _weighted_mean(values, w, gens.g, gens.h, gens.q)
+    return _generator_sum(*_checked(values, w), gens.g, gens.h, gens.q)
 
 
 #: Identifiers of the four built-in operator variants.

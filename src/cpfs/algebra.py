@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 
+from .aggregation import _generator_sum
 from .errors import NonPositiveScalar
 from .generators import BinaryOp, GeneratorPair, dual_tconorm
 from .values import CPFV, RadiusMode, _real, radius_mode_op
@@ -63,11 +64,7 @@ def _require_positive(lam: float, name: str = "lambda") -> float:
 
 def add(a: CPFV, b: CPFV, gens: GeneratorPair) -> CPFV:
     """Generator-based sum of two circular values."""
-    return CPFV.of(
-        gens.h.combine(a.mu, b.mu),
-        gens.g.combine(a.nu, b.nu),
-        gens.q.combine(a.r, b.r),
-    )
+    return _generator_sum((a, b), (1.0, 1.0), gens.h, gens.g, gens.q)
 
 
 def multiply(a: CPFV, b: CPFV, gens: GeneratorPair) -> CPFV:
@@ -77,12 +74,7 @@ def multiply(a: CPFV, b: CPFV, gens: GeneratorPair) -> CPFV:
 
 def scalar_multiple(lam: float, a: CPFV, gens: GeneratorPair) -> CPFV:
     """Scale a value by a strictly positive scalar (repeated addition)."""
-    lam = _require_positive(lam)
-    return CPFV.of(
-        gens.h.scale(lam, a.mu),
-        gens.g.scale(lam, a.nu),
-        gens.q.scale(lam, a.r),
-    )
+    return _generator_sum((a,), (_require_positive(lam),), gens.h, gens.g, gens.q)
 
 
 def power(a: CPFV, lam: float, gens: GeneratorPair) -> CPFV:

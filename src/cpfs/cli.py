@@ -65,15 +65,14 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
+    count = complexity_estimate(args.k, args.n, args.m, args.operator)  # checks every argument
     if args.sweep:
         print("k,n,m,count")
-        rows = complexity_sweep(
-            range(2, args.k + 1), range(2, args.n + 1), range(1, args.m + 1), args.operator
-        )
-        for k, n, m, count in rows:
-            print(f"{k},{n},{m},{count}")
+        grid = range(2, args.k + 1), range(2, args.n + 1), range(1, args.m + 1)
+        for row in complexity_sweep(*grid, args.operator):
+            print(*row, sep=",")
     else:
-        print(complexity_estimate(args.k, args.n, args.m, args.operator))
+        print(count)
     return 0
 
 

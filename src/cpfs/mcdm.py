@@ -30,18 +30,11 @@ from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
-from .errors import (
-    ConstraintViolation,
-    DegenerateCenter,
-    DimensionMismatch,
-    DomainError,
-    EmptyInput,
-    LengthMismatch,
-)
+from .errors import CircularFuzzyError, DimensionMismatch, DomainError, EmptyInput, LengthMismatch
 from .fusion import _require_shape, build_circular_matrix
-from .rounding import round_half_up
+from .rounding import require_precision, round_half_up
 from .similarity import csm_to_ideal
-from .values import CPFV, PFV, _label, _require_count, _shared_pfv, _shown
+from .values import CPFV, PFV, _labels, _require_count, _shared_pfv, _shown
 
 __all__ = [
     "DecisionProblem",
@@ -74,8 +67,8 @@ class DecisionProblem:
     experts: tuple[ExpertMatrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", tuple(map(_label, self.alternatives)))
-        object.__setattr__(self, "criteria", tuple(map(_label, self.criteria)))
+        object.__setattr__(self, "alternatives", _labels(self.alternatives, "alternative", DimensionMismatch))
+        object.__setattr__(self, "criteria", _labels(self.criteria, "criterion", DimensionMismatch))
         object.__setattr__(self, "polarity", tuple(self.polarity))
         if not isinstance(self.weights, WeightVector):
             object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))
@@ -88,10 +81,6 @@ class DecisionProblem:
             raise EmptyInput("need at least one criterion")
         if not experts:
             raise EmptyInput("need at least one expert matrix")
-        if len(set(self.alternatives)) != len(self.alternatives):
-            raise DimensionMismatch("alternative labels must be unique")
-        if len(set(self.criteria)) != len(self.criteria):
-            raise DimensionMismatch("criterion labels must be unique")
         if len(self.polarity) != len(self.criteria):
             raise LengthMismatch(
                 f"got {len(self.polarity)} polarities for {len(self.criteria)} criteria"
@@ -203,25 +192,6 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
     return replace(problem, experts=tuple(experts))
 
 
-def _quantize(label: str, v: CPFV, digits: int) -> CPFV:
-    try:
-        return CPFV.of(
-            round_half_up(v.mu, digits),
-            round_half_up(v.nu, digits),
-            round_half_up(v.r, digits),
-        )
-    except ConstraintViolation as err:
-        # Rounding half-up can carry a value on the unit circle out of the disc.
-        raise ConstraintViolation(f"alternative {label!r}: {err}") from err
-
-
-def _score(label: str, v: CPFV) -> float:
-    try:
-        return csm_to_ideal(v)
-    except DegenerateCenter as err:
-        raise DegenerateCenter(f"alternative {label!r}: {err}") from err
-
-
 def solve(
     problem: DecisionProblem,
     operator: str | AggregationOperator = "cpwa_q",
@@ -235,29 +205,35 @@ def solve(
     ``make_operator("cpwa_q", gens)`` for other generators.  The result's
     ``operator`` is the callable's ``__name__``, or ``"custom"`` if it has none.
     ``aggregate_precision`` controls the quantization applied to aggregated
-    values before scoring (see module docstring); ``None`` disables it.
+    values before scoring (see module docstring); ``None`` disables it.  An
+    error in one alternative's aggregate, quantization or score names it.
     """
     op = operator if callable(operator) else make_operator(operator)
+    if aggregate_precision is not None:
+        require_precision(aggregate_precision)
 
     normalized = normalize(problem)
     circular = build_circular_matrix(normalized.experts)
-    aggregated = tuple(op(row, problem.weights) for row in circular)
-    if aggregate_precision is None:
-        scored = aggregated
-    else:
-        scored = tuple(
-            _quantize(label, v, aggregate_precision)
-            for label, v in zip(problem.alternatives, aggregated)
-        )
-    similarities = tuple(_score(label, v) for label, v in zip(problem.alternatives, scored))
+    aggregated, scored, similarities = [], [], []
+    for label, row in zip(problem.alternatives, circular):
+        try:
+            v = op(row, problem.weights)
+            aggregated.append(v)
+            if aggregate_precision is not None:
+                # Rounding half-up can carry a value on the unit circle out of the disc.
+                v = CPFV.of(*(round_half_up(x, aggregate_precision) for x in v.as_tuple()))
+            scored.append(v)
+            similarities.append(csm_to_ideal(v))
+        except CircularFuzzyError as err:
+            raise type(err)(f"alternative {_shown(label)}: {err}") from err
     ranking = Ranking.from_scores(problem.alternatives, similarities)
     return PipelineResult(
         problem=problem,
         normalized=normalized,
         circular_matrix=tuple(tuple(row) for row in circular),
-        aggregated=aggregated,
-        scored=scored,
-        similarities=similarities,
+        aggregated=tuple(aggregated),
+        scored=tuple(scored),
+        similarities=tuple(similarities),
         ranking=ranking,
         operator=getattr(op, "__name__", "custom"),
     )
@@ -282,6 +258,7 @@ def complexity_sweep(
     operator: str = "cpwa_q",
 ) -> list[tuple[int, int, int, int]]:
     """Grid of ``(k, n, m, count)`` rows, suitable for plotting."""
+    operator = _operator_name(operator)
     return [
         (k, n, m, complexity_estimate(k, n, m, operator))
         for k in k_range

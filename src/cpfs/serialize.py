@@ -66,15 +66,11 @@ def _as_list(node: Any, where: str, source: str | None) -> list:
 
 
 def _as_label(node: Any, where: str, source: str | None) -> str:
-    """``str(node)``, as text the output files and stdout can encode."""
+    """``node`` as a label (see :func:`~cpfs.values._label`), or a located :class:`ParseError`."""
     try:
-        label = _label(node)
-        label.encode("utf-8")
-    except UnicodeEncodeError as e:  # a lone surrogate, which JSON can escape
-        raise ParseError(f"label is not valid text: {e.reason}", location=where, source=source) from e
+        return _label(node)
     except CircularFuzzyError as e:
         raise ParseError(str(e), location=where, source=source) from e
-    return label
 
 
 def _as_pfv(node: Any, where: Callable[[], str], source: str | None, table: dict) -> PFV:

@@ -72,11 +72,26 @@ def _shown(value: object) -> str:
 
 
 def _label(value: object) -> str:
-    """``str(value)``, or :class:`DomainError` for an integer too long to convert to text."""
+    """``str(value)`` as text UTF-8 can encode, or :class:`DomainError`: the one label rule."""
     try:
-        return str(value)
+        label = str(value)
+        label.encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate, which JSON can escape
+        raise DomainError(f"label is not valid text: {e.reason}") from None
     except ValueError:  # over the interpreter's integer-to-string digit limit
         raise DomainError(f"a label must convert to text, got {_shown(value)}") from None
+    return label
+
+
+def _labels(values: Iterable[object], what: str, error: type[CircularFuzzyError]) -> tuple[str, ...]:
+    """Each value as a label (see :func:`_label`), or ``error`` naming the first repeat."""
+    labels = tuple(map(_label, values))
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise error(f"{what} labels must be unique, {_shown(label)} repeats")
+        seen.add(label)
+    return labels
 
 
 def _real(value: float, name: str, error: type[CircularFuzzyError]) -> float:
@@ -220,15 +235,13 @@ class CPFS:
     elements: tuple[tuple[str, CPFV], ...]
 
     def __post_init__(self) -> None:
-        elems = tuple((_label(label), value) for label, value in self.elements)
-        for label, value in elems:
+        elems = tuple(self.elements)
+        labels = _labels((label for label, _ in elems), "element", UniverseMismatch)
+        values = tuple(value for _, value in elems)
+        for label, value in zip(labels, values):
             if not isinstance(value, CPFV):
-                raise OutOfRange(f"element {label!r} must be a CPFV, got {_shown(value)}")
-        labels = [label for label, _ in elems]
-        if len(set(labels)) != len(labels):
-            dupes = sorted({x for x in labels if labels.count(x) > 1})
-            raise UniverseMismatch(f"element labels must be unique, duplicated: {dupes}")
-        object.__setattr__(self, "elements", elems)
+                raise OutOfRange(f"element {_shown(label)} must be a CPFV, got {_shown(value)}")
+        object.__setattr__(self, "elements", tuple(zip(labels, values)))
 
     @classmethod
     def from_components(cls, rows: Iterable[tuple[str, float, float, float]]) -> "CPFS":

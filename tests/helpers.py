@@ -47,6 +47,8 @@ __all__ = [
     "reference_power",
     "reference_multiply_minmax",
     "reference_multiply_general",
+    "reference_add",
+    "reference_scalar_multiple",
     "reference_cpwg",
     "reference_intersect",
 ]
@@ -291,6 +293,27 @@ def reference_multiply_general(a, b, tnorm, radius_op) -> CPFV:
         tnorm(a.mu, b.mu),
         tconorm(a.nu, b.nu),
         radius_op(a.r, b.r),
+    )
+
+
+# ``add`` and ``scalar_multiple`` as they were written out before they called
+# the aggregation kernel; kept as the references the kernel must equal bit for bit.
+
+
+def reference_add(a, b, gens) -> CPFV:
+    return CPFV.of(
+        gens.h.combine(a.mu, b.mu),
+        gens.g.combine(a.nu, b.nu),
+        gens.q.combine(a.r, b.r),
+    )
+
+
+def reference_scalar_multiple(lam, a, gens) -> CPFV:
+    lam = _require_positive(lam)
+    return CPFV.of(
+        gens.h.scale(lam, a.mu),
+        gens.g.scale(lam, a.nu),
+        gens.q.scale(lam, a.r),
     )
 
 

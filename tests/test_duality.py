@@ -2,9 +2,10 @@
 
 ``multiply``, ``power``, ``multiply_minmax``, ``multiply_general``, ``cpwg``
 and ``intersect`` are derived from their sum-side duals through the
-complement.  Each must return exactly what the written-out form in
-``helpers`` returns: the same floats, bit for bit, including the sign of
-``-0.0``, or the same exception type.
+complement.  ``add`` and ``scalar_multiple`` are the aggregation kernel with
+weights ``(1, 1)`` and ``(lambda,)``.  Each must return exactly what the
+written-out form in ``helpers`` returns: the same floats, bit for bit,
+including the sign of ``-0.0``, or the same exception type.
 """
 
 import math
@@ -18,6 +19,7 @@ from cpfs import (
     Generator,
     GeneratorPair,
     WeightVector,
+    add,
     algebraic_generator,
     algebraic_pair,
     cpwg,
@@ -27,15 +29,18 @@ from cpfs import (
     multiply_minmax,
     power,
     pythagorean_complement,
+    scalar_multiple,
     tnorm_from_generator,
 )
 from helpers import (
+    reference_add,
     reference_cpwg,
     reference_intersect,
     reference_multiply,
     reference_multiply_general,
     reference_multiply_minmax,
     reference_power,
+    reference_scalar_multiple,
 )
 
 G = algebraic_generator()
@@ -56,7 +61,7 @@ TNORMS = [tnorm_from_generator(algebraic_generator()), lambda x, y: x * y, min]
 RADIUS_OPS = [min, max, lambda x, y: x * y]
 
 # Both zeros, both ends, points on the unit circle and values near the ends.
-UNIT_POOL = [0.0, -0.0, 1.0, 0.6, 0.8, 0.5, 1e-9, 2e-9, 0.999999999, 1 / 3]
+UNIT_POOL = [0.0, -0.0, 1.0, 0.6, 0.8, 0.5, 1e-9, 2e-9, 0.999999999, 1 / 3, 5e-324, 1e-300, 1 - 1e-16]
 CENTER_POOL = [(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, -0.0), (-0.0, 1.0), (0.6, 0.8), (0.8, 0.6)]
 
 unit = st.one_of(st.sampled_from(UNIT_POOL), st.floats(0.0, 1.0))
@@ -106,6 +111,18 @@ def outcome(fn, *args):
         return bits(fn(*args))
     except Exception as err:  # noqa: BLE001 - the type is what is compared
         return type(err)
+
+
+@settings(max_examples=300)
+@given(cpfvs, cpfvs, gens)
+def test_add_is_reference(a, b, pair):
+    assert outcome(add, a, b, pair) == outcome(reference_add, a, b, pair)
+
+
+@settings(max_examples=300)
+@given(cpfvs, lambdas, gens)
+def test_scalar_multiple_is_reference(a, lam, pair):
+    assert outcome(scalar_multiple, lam, a, pair) == outcome(reference_scalar_multiple, lam, a, pair)
 
 
 @settings(max_examples=300)

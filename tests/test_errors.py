@@ -7,6 +7,7 @@ from cpfs import (
     CPFV,
     PFV,
     CircularFuzzyError,
+    DecisionProblem,
     DomainError,
     GeneratorPair,
     UnknownGenerator,
@@ -58,6 +59,10 @@ LONG_VALUES = {
     "complexity_estimate": lambda: complexity_estimate(-(10**5000), 5, 3),
     "radius_generator": lambda: radius_generator(10**5000),
     "add_minmax": lambda: add_minmax(A, A, 10**5000),
+    "CPFS duplicate label": lambda: CPFS((("x" * 100_000, A), ("x" * 100_000, A))),
+    "DecisionProblem duplicate label": lambda: DecisionProblem(
+        ("a" * 100_000,) * 2, ("c",), ("benefit",), (1.0,), (((PFV(0.5, 0.5),),) * 2,)
+    ),
 }
 
 

@@ -16,7 +16,6 @@ that checks every cell, whether or not the sharing table fills.
 import json
 import math
 import tempfile
-from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
@@ -186,20 +185,18 @@ def outcome(parse, cells):
 
 
 def shared_as_expected(parsed, bound):
-    """Equal non-zero pairs are one object while the table has room for
-    ``bound`` pairs; a pair with a zero component is never shared."""
-    groups = defaultdict(list)
-    for c in parsed:
-        groups[c.mu.hex(), c.nu.hex()].append(id(c))
-    shared = 0
-    for (mu, nu), ids in groups.items():
-        objects = len(set(ids))
-        if not (float.fromhex(mu) and float.fromhex(nu)):
-            assert objects == len(ids)
-        elif len(groups) <= bound:
-            assert objects == 1
-        shared += objects < len(ids)
-    assert shared <= bound
+    """While the table holds fewer than ``bound`` pairs, equal non-zero pairs
+    are one object; every cell after it fills, and every pair with a zero
+    component, is an object of its own."""
+    first = {}  # the index of the cell that built each shared pair
+    expected = []
+    for n, c in enumerate(parsed):
+        if c.mu and c.nu and len(first) < bound:
+            expected.append(first.setdefault((c.mu.hex(), c.nu.hex()), n))
+        else:
+            expected.append(n)
+    built = {}
+    assert [built.setdefault(id(c), n) for n, c in enumerate(parsed)] == expected
 
 
 def document(cells):
@@ -246,6 +243,7 @@ bounds = st.sampled_from([0, 1, 2, values._SHARED_MAX])
 @example([[-0.0, 0.5]] * 8, values._SHARED_MAX)
 @example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4, values._SHARED_MAX)
 @example([[0.5, 0.5], [0.9, 0.9]] * 4, 1)
+@example([[0.5, 0.5]] * 8, 1)
 @example([[0.25, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.25, 0.5]] * 2, 1)
 def test_parse_matches_a_parser_that_checks_every_cell(cells, bound):
     with mock.patch.object(values, "_SHARED_MAX", bound):

@@ -77,6 +77,13 @@ class TestDecisionProblem:
                 experts=(ok, bad),
             )
 
+    def test_a_repeated_label_is_named(self):
+        cells = ((PFV(0.5, 0.5),) * 2,) * 2
+        with pytest.raises(DimensionMismatch, match="^alternative labels must be unique, 'A1' repeats$"):
+            DecisionProblem(("A1", "A1"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5), (cells,))
+        with pytest.raises(DimensionMismatch, match="^criterion labels must be unique, 'C2' repeats$"):
+            DecisionProblem(("A1", "A2"), ("C2", "C2"), ("benefit",) * 2, (0.5, 0.5), (cells,))
+
     def test_polarity_length_checked(self):
         with pytest.raises(LengthMismatch):
             small_problem(
@@ -330,6 +337,10 @@ class TestComplexityEstimate:
             grid = complexity_sweep(range(2, 11), range(2, 11), [m], operator)
             smallest = min(grid, key=lambda row: row[3])
             assert (smallest[0], smallest[1]) == (2, 2)
+
+    def test_sweep_checks_the_operator_over_an_empty_grid(self):
+        with pytest.raises(UnknownOperator):
+            complexity_sweep([], [], [], "bogus")
 
     def test_sweep_shape(self):
         rows = complexity_sweep(range(2, 5), range(2, 4), range(1, 3))

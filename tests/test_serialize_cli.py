@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -374,6 +375,37 @@ class TestCli:
         assert main(["solve", "--input", str(bad)]) == 2
         assert "alternative 'A2'" in capsys.readouterr().err
 
+    def test_solve_names_an_alternative_aggregated_off_the_disc(self, tmp_path, capsys):
+        # A1's mu = 1.0 holds the aggregate's mu at 1.0, while its nu, a weighted
+        # geometric mean, rises from 1e-8 to 0.023: the aggregate leaves the disc.
+        doc = minimal_doc()
+        doc.update(polarity=["benefit", "benefit"], weights=[0.2, 0.8])
+        doc["experts"] = [[[[1.0, 1e-8], [0.3, 0.9]], [[0.5, 0.5], [0.5, 0.5]]]]
+        bad = tmp_path / "edge.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(bad)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", str(bad)]) == 2
+        assert "error: alternative 'A1': mu**2 + nu**2 must not exceed 1" in capsys.readouterr().err
+
+    def test_solve_echoes_a_long_alternative_label_cut_short(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["alternatives"][0] = "A" * 100_000
+        doc["experts"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [0.6, 0.4]]]]
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alternative 'AAAAAAAAAAAAAAA...: ")
+        assert len(err.encode()) < 300
+
+    def test_a_lone_surrogate_label_is_rejected_before_any_file(self, tmp_path):
+        problem = parse_problem(minimal_doc())
+        with pytest.raises(DomainError, match="label is not valid text"):
+            problem = dataclasses.replace(problem, alternatives=("A\ud800", "A2"))
+            write_solve_tables(solve(problem), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_solve_names_an_alternative_rounded_off_the_disc(self, tmp_path, capsys, monkeypatch):
         gen = perfbench_gen(monkeypatch)
         doc = gen.generate(gen.Params(3, 600, 5, boundary_frac=0.1, zero_weight=True), 11)
@@ -442,6 +474,21 @@ class TestCli:
     def test_complexity_domain_error(self, capsys):
         assert main(["complexity", "1", "5", "3"]) == 2
         assert "k (criteria)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["1", "5", "3"], "k (criteria)"),
+            (["5", "5", "0"], "m (experts)"),
+            (["1", "5", "3", "--operator", "bogus"], "unknown operator 'bogus'"),
+        ],
+        ids=["criteria", "experts", "operator"],
+    )
+    def test_complexity_sweep_checks_its_arguments(self, capsys, argv, message):
+        assert main(["complexity", *argv, "--sweep"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_complexity_sweep(self, capsys):
         assert main(["complexity", "10", "10", "3", "--sweep"]) == 0

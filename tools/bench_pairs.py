@@ -10,10 +10,11 @@ each side, the parent first in even pairs and the change first in odd ones,
 so a drift in host speed falls on both sides alike.  A run that exits
 non-zero stops the script.
 
-The output file holds every run record and result, and a summary per
-workload: for each end-to-end metric of ``BENCHMARK.json``, both sides'
-values, medians and quartiles, the parent's interquartile range, and
-``wins``, the number of pairs in which the change was better.
+The output file holds every run record and result, one pair to a line,
+and a summary per workload: for each end-to-end metric of
+``BENCHMARK.json``, both sides' values, medians and quartiles, the parent's
+interquartile range, and ``wins``, the number of pairs in which the change
+was better.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def dumps(doc: dict) -> str:
+    """``doc`` as JSON text, indented by one space, with each of its ``pairs`` on one line."""
+    text = json.dumps({**doc, "pairs": []}, indent=1, sort_keys=True)
+    pairs = ",\n  ".join(json.dumps(pair, sort_keys=True) for pair in doc["pairs"])
+    return text.replace('\n "pairs": [],', f'\n "pairs": [\n  {pairs}\n ],', 1) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
         "parent_commit": parent_commit,
         "summary": summarize(pairs, benchmark["end_to_end"]),
     }
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    args.out.write_text(dumps(doc), encoding="utf-8")
     return 0
 
 
