@@ -15,49 +15,43 @@ resulting circle unless the clamp was active.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from operator import mul
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import EmptyInput
 from .values import CPFV, PFV
+
+if TYPE_CHECKING:
+    from .mcdm import DecisionProblem
 
 __all__ = ["fuse", "build_circular_matrix"]
 
 
-def fuse(collection: Sequence[PFV]) -> CPFV:
-    """Fuse a non-empty collection of point values into one circular value."""
-    k = len(collection)
-    if k == 0:
-        raise EmptyInput("cannot fuse an empty collection")
-    mu = math.sqrt(math.fsum(p.mu * p.mu for p in collection) / k)
-    nu = math.sqrt(math.fsum(p.nu * p.nu for p in collection) / k)
-    r = max(math.hypot(mu - p.mu, nu - p.nu) for p in collection)
+def _fused(mus: Sequence[float], nus: Sequence[float]) -> CPFV:
+    """The fused value of the non-empty point values ``(mus[j], nus[j])``."""
+    k = len(mus)
+    mu = math.sqrt(math.fsum(map(mul, mus, mus)) / k)
+    nu = math.sqrt(math.fsum(map(mul, nus, nus)) / k)
+    r = max(map(math.hypot, [mu - x for x in mus], [nu - y for y in nus]))
     return CPFV.of(mu, nu, min(r, 1.0))
 
 
-def build_circular_matrix(
-    expert_matrices: Sequence[Sequence[Sequence[PFV]]],
-) -> list[list[CPFV]]:
-    """Fuse a stack of expert matrices cellwise.
+def fuse(collection: Sequence[PFV]) -> CPFV:
+    """Fuse a non-empty collection of point values into one circular value."""
+    if len(collection) == 0:
+        raise EmptyInput("cannot fuse an empty collection")
+    return _fused([p.mu for p in collection], [p.nu for p in collection])
 
-    ``expert_matrices[e][i][j]`` is expert ``e``'s evaluation of alternative
-    ``i`` under criterion ``j``; all expert matrices must share one
-    rectangular shape.  Returns the alternatives x criteria matrix of fused
-    circular values.
+
+def build_circular_matrix(problem: DecisionProblem) -> list[list[CPFV]]:
+    """Fuse a problem's expert matrices cellwise.
+
+    Returns the alternatives x criteria matrix of fused circular values: cell
+    ``(i, j)`` fuses every expert's evaluation of alternative ``i`` under
+    criterion ``j``.
     """
-    if len(expert_matrices) == 0:
-        raise EmptyInput("need at least one expert matrix")
-    first = expert_matrices[0]
-    n_alt, n_crit = len(first), len(first[0]) if first else 0
-    _require_shape(expert_matrices, n_alt, n_crit)
-    return [list(map(fuse, zip(*rows))) for rows in zip(*expert_matrices)]
-
-
-def _require_shape(
-    expert_matrices: Sequence[Sequence[Sequence[object]]], n_alt: int, n_crit: int
-) -> None:
-    """:class:`DimensionMismatch` unless every matrix is ``n_alt`` rows of ``n_crit`` cells."""
-    for e, matrix in enumerate(expert_matrices):
-        if len(matrix) != n_alt or any(len(row) != n_crit for row in matrix):
-            raise DimensionMismatch(
-                f"expert matrix {e} does not match shape {n_alt} alternatives x {n_crit} criteria"
-            )
+    _, n_alt, n_crit = problem.shape
+    step = n_alt * n_crit  # the cells of one expert matrix
+    mu, nu = problem.mu, problem.nu
+    cells = [_fused(mu[c::step], nu[c::step]) for c in range(step)]
+    return [cells[i : i + n_crit] for i in range(0, step, n_crit)]

@@ -25,16 +25,17 @@ argument, so the minimum over the domain ``k, n >= 2`` sits at ``(2, 2)``.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence
 
 from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
 from .errors import CircularFuzzyError, DimensionMismatch, DomainError, EmptyInput, LengthMismatch
-from .fusion import _require_shape, build_circular_matrix
+from .fusion import build_circular_matrix
 from .rounding import require_precision, round_half_up
 from .similarity import csm_to_ideal
-from .values import CPFV, PFV, _labels, _require_count, _shared_pfv, _shown
+from .values import CPFV, PFV, _labels, _require_count, _shown
 
 __all__ = [
     "DecisionProblem",
@@ -49,13 +50,14 @@ __all__ = [
 
 Polarity = Literal["benefit", "cost"]
 
-ExpertMatrix = tuple[tuple[PFV, ...], ...]
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DecisionProblem:
     """A group decision problem: experts x alternatives x criteria of point values.
 
+    Built from ``experts``, nested as ``experts[e][i][j]``, expert ``e``'s
+    evaluation of alternative ``i`` under criterion ``j``.  The cells are held
+    as two float columns, ``mu`` and ``nu``, in that expert -> alternative ->
+    criterion order; :attr:`experts` builds the nested values again.
     ``weights`` may be any sequence of numbers; it is checked and stored as a
     :class:`~cpfs.aggregation.WeightVector`.
     """
@@ -64,7 +66,39 @@ class DecisionProblem:
     criteria: tuple[str, ...]
     polarity: tuple[Polarity, ...]
     weights: WeightVector
-    experts: tuple[ExpertMatrix, ...]
+    mu: array = field(hash=False)
+    nu: array = field(hash=False)
+
+    def __init__(self, alternatives: Sequence[str], criteria: Sequence[str], polarity: Sequence[Polarity],
+                 weights: Sequence[float], experts: Sequence[Sequence[Sequence[PFV]]]) -> None:
+        alternatives, criteria = tuple(alternatives), tuple(criteria)
+        n, k = len(alternatives), len(criteria)
+        cells = []
+        for e, matrix in enumerate(experts):
+            rows = [tuple(row) for row in matrix]
+            if len(rows) != n or any(len(row) != k for row in rows):
+                raise DimensionMismatch(
+                    f"expert matrix {e} does not match shape {n} alternatives x {k} criteria"
+                )
+            for row in rows:
+                if not all(isinstance(cell, PFV) for cell in row):
+                    raise DimensionMismatch(f"expert matrix {e} contains a non-PFV cell")
+                cells += row
+        self._set(alternatives, criteria, polarity, weights,
+                  array("d", [c.mu for c in cells]), array("d", [c.nu for c in cells]))
+
+    @classmethod
+    def _of_columns(cls, *values: object) -> "DecisionProblem":
+        """The problem of these field values, in field order.  The columns must
+        hold valid point values of whole expert matrices; they are not checked."""
+        problem = object.__new__(cls)
+        problem._set(*values)
+        return problem
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(_FIELDS, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alternatives", _labels(self.alternatives, "alternative", DimensionMismatch))
@@ -72,37 +106,36 @@ class DecisionProblem:
         object.__setattr__(self, "polarity", tuple(self.polarity))
         if not isinstance(self.weights, WeightVector):
             object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))
-        experts = tuple(tuple(tuple(row) for row in matrix) for matrix in self.experts)
-        object.__setattr__(self, "experts", experts)
-
         if not self.alternatives:
             raise EmptyInput("need at least one alternative")
         if not self.criteria:
             raise EmptyInput("need at least one criterion")
-        if not experts:
+        if not self.mu:
             raise EmptyInput("need at least one expert matrix")
         if len(self.polarity) != len(self.criteria):
-            raise LengthMismatch(
-                f"got {len(self.polarity)} polarities for {len(self.criteria)} criteria"
-            )
+            raise LengthMismatch(f"got {len(self.polarity)} polarities for {len(self.criteria)} criteria")
         for i, p in enumerate(self.polarity):
             if p not in ("benefit", "cost"):
                 raise DomainError(f"polarity[{i}] must be 'benefit' or 'cost', got {_shown(p)}")
         if len(self.weights) != len(self.criteria):
-            raise LengthMismatch(
-                f"got {len(self.weights)} weights for {len(self.criteria)} criteria"
-            )
-        _require_shape(experts, len(self.alternatives), len(self.criteria))
-        for e, matrix in enumerate(experts):
-            for row in matrix:
-                for cell in row:
-                    if not isinstance(cell, PFV):
-                        raise DimensionMismatch(f"expert matrix {e} contains a non-PFV cell")
+            raise LengthMismatch(f"got {len(self.weights)} weights for {len(self.criteria)} criteria")
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """(experts, alternatives, criteria)."""
-        return (len(self.experts), len(self.alternatives), len(self.criteria))
+        n, k = len(self.alternatives), len(self.criteria)
+        return (len(self.mu) // (n * k), n, k)
+
+    @property
+    def experts(self) -> tuple[tuple[tuple[PFV, ...], ...], ...]:
+        """The cells as nested point values, ``experts[e][i][j]``; built on each access."""
+        n, k = len(self.alternatives), len(self.criteria)
+        cells = list(map(PFV, self.mu, self.nu))
+        rows = [tuple(cells[c : c + k]) for c in range(0, len(cells), k)]
+        return tuple(tuple(rows[r : r + n]) for r in range(0, len(rows), n))
+
+
+_FIELDS = tuple(f.name for f in fields(DecisionProblem))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,20 +209,16 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
     """Swap components of every entry under a cost criterion.
 
     Involutive; benefit criteria pass through untouched.  Each swapped entry
-    equals ``cell.complement()`` bit for bit, but equal swapped entries may
-    be one object: each distinct value is built once per call, up to the
-    bound of the sharing table (see :func:`~cpfs.values._shared_pfv`).
+    equals ``cell.complement()`` bit for bit.
     """
-    is_cost = [p == "cost" for p in problem.polarity]
-    table: dict = {}
-    experts = []
-    for matrix in problem.experts:
-        rows = []
-        for row in matrix:
-            cells = [_shared_pfv(table, c.nu, c.mu) if cost else c for c, cost in zip(row, is_cost)]
-            rows.append(tuple(cells))
-        experts.append(tuple(rows))
-    return replace(problem, experts=tuple(experts))
+    old_mu, old_nu = problem.mu, problem.nu
+    mu, nu = old_mu[:], old_nu[:]
+    m = len(problem.criteria)
+    for j, polarity in enumerate(problem.polarity):
+        if polarity == "cost":
+            mu[j::m], nu[j::m] = old_nu[j::m], old_mu[j::m]
+    return DecisionProblem._of_columns(problem.alternatives, problem.criteria, problem.polarity,
+                                       problem.weights, mu, nu)
 
 
 def solve(
@@ -213,7 +242,7 @@ def solve(
         require_precision(aggregate_precision)
 
     normalized = normalize(problem)
-    circular = build_circular_matrix(normalized.experts)
+    circular = build_circular_matrix(normalized)
     aggregated, scored, similarities = [], [], []
     for label, row in zip(problem.alternatives, circular):
         try:

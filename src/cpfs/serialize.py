@@ -27,6 +27,8 @@ formatting, ``\n`` line endings.
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -34,7 +36,7 @@ from .aggregation import _operator_name
 from .errors import CircularFuzzyError, DomainError, ParseError, UnknownOperator
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
-from .values import PFV, _label, _shared_pfv, _shown
+from .values import PFV, _label, _require_point, _shown
 
 __all__ = [
     "parse_problem",
@@ -55,13 +57,28 @@ def _decode(document: str | dict, source: str | None) -> Any:
         return document
     try:
         return json.loads(document)
-    except ValueError as e:  # a JSONDecodeError, or an integer literal over the digit limit
+    # A JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit.
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"invalid JSON: {e}", source=source) from e
 
 
-def _as_list(node: Any, where: str, source: str | None) -> list:
+def _load(parse: Callable[[str, str], Any], path: str | Path) -> Any:
+    """``parse`` of the UTF-8 text of the file at ``path``, named as its source."""
+    source = str(path)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not valid UTF-8 text: {e.reason} at byte {e.start}", source=source) from None
+    return parse(text, source)
+
+
+def _as_list(node: Any, where: str, source: str | None, count: int | None = None, per: str = "") -> list:
+    """``node`` as a list, of ``count`` items, one per ``per``, if ``count`` is given."""
     if not isinstance(node, list):
         raise ParseError(f"expected a list, got {type(node).__name__}", location=where, source=source)
+    if count is not None and len(node) != count:
+        message = f"expected {count} items, one per {per}, got {len(node)}"
+        raise ParseError(message, location=where, source=source)
     return node
 
 
@@ -73,33 +90,32 @@ def _as_label(node: Any, where: str, source: str | None) -> str:
         raise ParseError(str(e), location=where, source=source) from e
 
 
-def _as_pfv(node: Any, where: Callable[[], str], source: str | None, table: dict) -> PFV:
-    """The point value of a ``[mu, nu]`` cell; ``where()`` names the cell in an error.
-
-    ``table`` is the document's sharing table: equal cells become one value.
-    """
+def _as_pair(node: Any, where: Callable[[], str], source: str | None) -> list | tuple:
+    """The floats ``mu, nu`` of a ``[mu, nu]`` cell of a point value; ``where()``
+    names the cell in an error."""
     # A pair of exact floats skips the list and number checks: float(x) is x.
     if type(node) is list and len(node) == 2 and type(node[0]) is float and type(node[1]) is float:
-        mu, nu = node
+        pair = node
     else:
-        pair = _as_list(node, where(), source)
-        if len(pair) != 2:
+        items = _as_list(node, where(), source)
+        if len(items) != 2:
             raise ParseError(
-                f"expected a [mu, nu] pair, got {len(pair)} items", location=where(), source=source
+                f"expected a [mu, nu] pair, got {len(items)} items", location=where(), source=source
             )
-        for k, x in enumerate(pair):
+        for k, x in enumerate(items):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ParseError(
                     f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]", source=source
                 )
         try:
-            mu, nu = float(pair[0]), float(pair[1])
+            pair = float(items[0]), float(items[1])
         except OverflowError as err:  # an integer beyond the float range
             raise ParseError(str(err), location=where(), source=source) from err
     try:
-        return _shared_pfv(table, mu, nu)
+        _require_point(*pair)
     except CircularFuzzyError as err:
         raise ParseError(str(err), location=where(), source=source) from err
+    return pair
 
 
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
@@ -112,46 +128,34 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         if field not in data:
             raise ParseError("missing required field", location=field, source=source)
 
-    alternatives = [
-        _as_label(x, f"alternatives[{i}]", source)
-        for i, x in enumerate(_as_list(data["alternatives"], "alternatives", source))
-    ]
-    criteria = [
-        _as_label(x, f"criteria[{i}]", source)
-        for i, x in enumerate(_as_list(data["criteria"], "criteria", source))
-    ]
+    alternatives, criteria = (
+        [_as_label(x, f"{key}[{i}]", source) for i, x in enumerate(_as_list(data[key], key, source))]
+        for key in ("alternatives", "criteria")
+    )
 
     polarity = _as_list(data["polarity"], "polarity", source)
     weights = _as_list(data["weights"], "weights", source)
 
-    experts = []
-    table: dict = {}
+    # The cells go straight into the problem's columns; see DecisionProblem.
+    mu, nu = array("d"), array("d")
+    n, k = len(alternatives), len(criteria)
     for e, matrix in enumerate(_as_list(data["experts"], "experts", source)):
-        rows = []
-        for i, row in enumerate(_as_list(matrix, f"experts[{e}]", source)):
-            cells = []
-            for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", source)):
-                cells.append(_as_pfv(cell, lambda: f"experts[{e}][{i}][{j}]", source, table))
-            rows.append(tuple(cells))
-        experts.append(tuple(rows))
+        for i, row in enumerate(_as_list(matrix, f"experts[{e}]", source, n, "alternative")):
+            for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", source, k, "criterion")):
+                x, y = _as_pair(cell, lambda: f"experts[{e}][{i}][{j}]", source)
+                mu.append(x)
+                nu.append(y)
 
     # The problem's own checks cover polarity and weights; their messages name
     # the offending item (``polarity[j]``, ``weights[i]``).
     try:
-        return DecisionProblem(
-            alternatives=tuple(alternatives),
-            criteria=tuple(criteria),
-            polarity=tuple(polarity),
-            weights=tuple(weights),
-            experts=tuple(experts),
-        )
+        return DecisionProblem._of_columns(alternatives, criteria, polarity, weights, mu, nu)
     except CircularFuzzyError as err:
         raise ParseError(str(err), source=source) from err
 
 
 def load_problem(path: str | Path) -> DecisionProblem:
-    path = Path(path)
-    return parse_problem(path.read_text(encoding="utf-8"), source=str(path))
+    return _load(parse_problem, path)
 
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
@@ -161,10 +165,7 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
         "criteria": list(problem.criteria),
         "polarity": list(problem.polarity),
         "weights": list(problem.weights),
-        "experts": [
-            [[[cell.mu, cell.nu] for cell in row] for row in matrix]
-            for matrix in problem.experts
-        ],
+        "experts": [[[[c.mu, c.nu] for c in row] for row in matrix] for matrix in problem.experts],
     }
 
 
@@ -172,24 +173,20 @@ def dump_problem(problem: DecisionProblem) -> str:
     return json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
 
 
-def parse_collections(
-    document: str | dict, source: str | None = None
-) -> list[tuple[str, list[PFV]]]:
+def parse_collections(document: str | dict, source: str | None = None) -> list[tuple[str, list[PFV]]]:
     """Parse a collections document into ``(label, point values)`` rows."""
     data = _decode(document, source)
     if not isinstance(data, dict) or "elements" not in data:
         raise ParseError("top level must be an object with an 'elements' field", source=source)
 
     out: list[tuple[str, list[PFV]]] = []
-    table: dict = {}
     for i, element in enumerate(_as_list(data["elements"], "elements", source)):
         where = f"elements[{i}]"
         if not isinstance(element, dict) or "values" not in element:
             raise ParseError("expected an object with a 'values' field", location=where, source=source)
         label = _as_label(element.get("label", f"x{i + 1}"), f"{where}.label", source)
-        values = []
-        for j, cell in enumerate(_as_list(element["values"], f"{where}.values", source)):
-            values.append(_as_pfv(cell, lambda: f"{where}.values[{j}]", source, table))
+        values = [PFV(*_as_pair(cell, lambda: f"{where}.values[{j}]", source))
+                  for j, cell in enumerate(_as_list(element["values"], f"{where}.values", source))]
         if not values:
             raise ParseError("collection must be non-empty", location=f"{where}.values", source=source)
         out.append((label, values))
@@ -197,8 +194,7 @@ def parse_collections(
 
 
 def load_collections(path: str | Path) -> list[tuple[str, list[PFV]]]:
-    path = Path(path)
-    return parse_collections(path.read_text(encoding="utf-8"), source=str(path))
+    return _load(parse_collections, path)
 
 
 def _as_digits(node: Any, where: str, source: str | None) -> int:
@@ -250,8 +246,7 @@ def parse_config(document: str | dict, source: str | None = None) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
+    return _load(parse_config, path)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +300,14 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
             fh.writelines(lines)
         files[name] = path
 
-    # Matrix tables are written one alternative's row of cells at a time.
+    # Matrix tables are written one alternative's row of cells at a time; the
+    # normalized rows are read from the problem's columns, k cells at a time.
+    mu, nu = result.normalized.mu, result.normalized.nu
+    m, _, k = result.normalized.shape
     emit("normalized_matrix", "expert,alternative,criterion,mu,nu", (
-        "".join([f"{e},{alt},{crit},{fmt[c.mu]},{fmt[c.nu]}\n" for crit, c in zip(crits, row)])
-        for e, matrix in enumerate(result.normalized.experts, 1)
-        for alt, row in zip(alts, matrix)
+        "".join([f"{e},{alt},{crit},{fmt[x]},{fmt[y]}\n"
+                 for crit, x, y in zip(crits, mu[c : c + k], nu[c : c + k])])
+        for (e, alt), c in zip(product(range(1, m + 1), alts), range(0, len(mu), k))
     ))
     fused = [
         (alt, [(crit, fmt[v.mu], fmt[v.nu], fmt[v.r]) for crit, v in zip(crits, row)])

@@ -19,10 +19,7 @@ Conventions:
   given, never clamped.
 - All set operations preserve element order, so emitted tables are
   deterministic.
-- Everything here is an immutable value; all functions are pure.  Equal
-  values may be one object: parsing and normalization build each distinct
-  point value once (see :func:`_shared_pfv`), so compare values with ``==``,
-  never with ``is``.
+- Everything here is an immutable value; all functions are pure.
 """
 
 from __future__ import annotations
@@ -123,6 +120,19 @@ def _require_component(value: float, name: str, error: type[CircularFuzzyError] 
     return x
 
 
+def _require_point(mu: float, nu: float) -> None:
+    """Raise unless the floats ``mu``, ``nu`` make a point value: each in [0, 1] (else
+    :class:`OutOfRange`), ``mu**2 + nu**2 <= 1 + UNIT_SLACK`` (else :class:`ConstraintViolation`)."""
+    # NaN fails the comparison too; _require_component then names it not finite.
+    if not 0.0 <= mu <= 1.0:
+        _require_component(mu, "mu")
+    if not 0.0 <= nu <= 1.0:
+        _require_component(nu, "nu")
+    s = mu * mu + nu * nu
+    if s > 1.0 + UNIT_SLACK:
+        raise ConstraintViolation(f"mu**2 + nu**2 must not exceed 1, got {s} for mu={mu}, nu={nu}")
+
+
 @dataclass(frozen=True, slots=True)
 class PFV:
     """A membership / non-membership pair with quadratic constraint.
@@ -138,20 +148,11 @@ class PFV:
 
     def __post_init__(self) -> None:
         mu, nu = self.mu, self.nu
-        # A float already in [0, 1] is what _require_component would return
-        # unchanged, so it skips the check and the store.  NaN fails the
-        # comparison and takes the full check.
-        if type(mu) is not float or not 0.0 <= mu <= 1.0:
-            mu = _require_component(mu, "mu")
+        if type(mu) is not float or type(nu) is not float:
+            mu, nu = _require_component(mu, "mu"), _require_component(nu, "nu")
             object.__setattr__(self, "mu", mu)
-        if type(nu) is not float or not 0.0 <= nu <= 1.0:
-            nu = _require_component(nu, "nu")
             object.__setattr__(self, "nu", nu)
-        s = mu * mu + nu * nu
-        if s > 1.0 + UNIT_SLACK:
-            raise ConstraintViolation(
-                f"mu**2 + nu**2 must not exceed 1, got {s} for mu={mu}, nu={nu}"
-            )
+        _require_point(mu, nu)
 
     @property
     def quadratic_sum(self) -> float:
@@ -173,7 +174,7 @@ class CPFV:
         if not isinstance(self.center, PFV):
             raise OutOfRange(f"center must be a PFV, got {_shown(self.center)}")
         r = self.r
-        if type(r) is not float or not 0.0 <= r <= 1.0:  # as in PFV
+        if type(r) is not float or not 0.0 <= r <= 1.0:  # a float in [0, 1] passes as it is
             object.__setattr__(self, "r", _require_component(r, "radius", RadiusOutOfRange))
 
     @classmethod
@@ -195,31 +196,6 @@ class CPFV:
     def complement(self) -> "CPFV":
         """Swap the center's membership and non-membership; radius unchanged."""
         return CPFV(self.center.complement(), self.r)
-
-
-#: Distinct pairs a sharing table holds before :func:`_shared_pfv` stops
-#: looking values up.  Above the 7,754 points of the two-decimal grid with
-#: both components non-zero, so a problem on that grid never fills it; a
-#: full table means the input repeats too little for sharing to pay.
-_SHARED_MAX = 8192
-
-
-def _shared_pfv(table: dict[complex, PFV], mu: float, nu: float) -> PFV:
-    """``PFV(mu, nu)``, built once per distinct pair held in ``table``.
-
-    ``table`` belongs to one call (one document, one normalization); equal
-    pairs then share one validated object.  The key ``complex(mu, nu)`` is
-    exact, and the GC does not track it.  A pair with a zero component is
-    never shared: ``0.0 == -0.0`` and both hash alike, so sharing would lose
-    the sign of ``-0.0``.  A pair the constructor rejects is never stored.
-    """
-    if mu and nu and len(table) < _SHARED_MAX:
-        key = complex(mu, nu)
-        value = table.get(key)
-        if value is None:
-            value = table[key] = PFV(mu, nu)
-        return value
-    return PFV(mu, nu)
 
 
 #: The validating constructors under their functional names: they raise

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import importlib.util
 import io
 import json
@@ -13,13 +12,17 @@ import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from cpfs import (
     CPFS,
     CPFV,
     PFV,
     CircularFuzzyError,
+    DecisionProblem,
     DomainError,
     ParseError,
+    WeightVector,
     algebraic_pair,
     dual_tconorm,
     format_fixed,
@@ -38,6 +41,8 @@ __all__ = [
     "assert_cpfv_close",
     "all_pairs_ranking",
     "perfbench_gen",
+    "problems",
+    "bits",
     "reference_normalize",
     "reference_cell",
     "reference_solve_tables",
@@ -123,10 +128,42 @@ def perfbench_gen(monkeypatch):
     return gen
 
 
-def reference_normalize(problem):
-    """``normalize`` with ``cell.complement()`` built for every cost cell.
+# Few distinct values, so cells repeat; both zeros, the axes' ends, a point
+# on the unit circle and the smallest subnormal.
+COMPONENTS = [0.0, -0.0, 0.25, 0.5, 0.6, 0.8, 1.0, 5e-324]
+_component = st.one_of(st.sampled_from(COMPONENTS), st.floats(0.0, 1.0))
+_cells = (
+    st.tuples(_component, _component)
+    .filter(lambda p: p[0] * p[0] + p[1] * p[1] <= 1.0)
+    .map(lambda p: PFV(*p))
+)
 
-    ``normalize`` before it shared equal swapped cells; kept as the
+
+@st.composite
+def problems(draw):
+    """Small problems: one to three experts, mixed polarity, repeated cells."""
+    k, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(_cells, min_size=m, max_size=m).map(tuple)
+    matrix = st.lists(row, min_size=n, max_size=n).map(tuple)
+    return DecisionProblem(
+        alternatives=tuple(f"A{i}" for i in range(n)),
+        criteria=tuple(f"C{j}" for j in range(m)),
+        polarity=tuple(draw(st.lists(st.sampled_from(["benefit", "cost"]), min_size=m, max_size=m))),
+        weights=WeightVector.uniform(m),
+        experts=tuple(draw(st.lists(matrix, min_size=k, max_size=k))),
+    )
+
+
+def bits(problem) -> list[tuple[str, str]]:
+    """``float.hex`` of both components of every cell, so the sign of ``-0.0`` counts."""
+    return [
+        (c.mu.hex(), c.nu.hex()) for matrix in problem.experts for row in matrix for c in row
+    ]
+
+
+def reference_normalize(problem):
+    """``normalize`` cell by cell: ``cell.complement()`` of every cost cell of
+    ``problem.experts``.  ``normalize`` swaps whole columns; kept as the
     reference its values must equal bit for bit.
     """
     is_cost = [p == "cost" for p in problem.polarity]
@@ -137,7 +174,7 @@ def reference_normalize(problem):
         )
         for matrix in problem.experts
     )
-    return dataclasses.replace(problem, experts=experts)
+    return DecisionProblem(problem.alternatives, problem.criteria, problem.polarity, problem.weights, experts)
 
 
 def reference_cell(node, where: str) -> PFV:

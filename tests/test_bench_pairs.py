@@ -1,0 +1,61 @@
+"""``tools/bench_pairs.py``: its line count of ``src/`` and its summary of pairs."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_lines_counts_as_wc_does(bench_pairs, tmp_path):
+    package = tmp_path / "src" / "cpfs"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
+    (package / "data.json").write_text("{}\n{}\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("\n" * 5)
+    assert bench_pairs.src_lines(tmp_path) == 2
+
+
+def test_src_lines_of_this_checkout_match_wc(bench_pairs):
+    files = sorted(str(p) for p in (ROOT / "src" / "cpfs").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True).stdout
+    assert bench_pairs.src_lines(ROOT) == int(wc.splitlines()[-1].split()[0])
+
+
+def side(failed, **metrics):
+    return {"result": {"failed": failed, "metrics": {k: {"value": v} for k, v in metrics.items()}}}
+
+
+def test_summarize_counts_wins_by_each_metrics_direction(bench_pairs):
+    pairs = [
+        {"workload": "w", "parent": side(0, t=10.0, rate=5.0), "change": side(0, t=8.0, rate=4.0)},
+        {"workload": "w", "parent": side(1, t=12.0, rate=5.0), "change": side(0, t=13.0, rate=6.0)},
+        {"workload": "w", "parent": side(0, t=11.0, rate=5.0), "change": side(2, t=11.0, rate=7.0)},
+        {"workload": "v", "parent": side(0, t=1.0, rate=1.0), "change": side(0, t=2.0, rate=1.0)},
+    ]
+    metrics = [{"name": "t", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    summary = bench_pairs.summarize(pairs, metrics)
+    assert sorted(summary) == ["v", "w"]
+    w = summary["w"]
+    assert w["failed"] == {"parent": 1, "change": 2}
+    assert w["t"]["parent"] == [10.0, 12.0, 11.0] and w["t"]["change"] == [8.0, 13.0, 11.0]
+    assert (w["t"]["parent_median"], w["t"]["change_median"]) == (11.0, 11.0)
+    assert w["t"]["wins"] == 1  # a tie is no win
+    assert w["rate"]["wins"] == 2 and w["rate"]["better"] == "higher"
+    assert w["t"]["parent_quartiles"] == [10.0, 11.0, 12.0]
+    assert w["t"]["parent_iqr"] == 2.0
+    # One pair: every quartile is its value.
+    assert summary["v"]["t"]["parent_quartiles"] == [1.0, 1.0, 1.0]
+    assert summary["v"]["t"]["wins"] == 0

@@ -7,17 +7,15 @@ writes every row through ``csv.writer``, whatever the labels hold, and its
 ``result.json``, written in chunks with each list of numbers laid out by
 plain formatting (a float's repr, or one template per ``[mu, nu, r]``
 triple), must equal ``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem`` and
-``parse_collections`` take pairs of floats without the per-item checks and
-build each distinct pair once; they must accept and reject the same
-documents, with the same values and the same located errors, as a parser
-that checks every cell, whether or not the sharing table fills.
+``parse_collections`` take pairs of floats without the per-item checks; they
+must accept and reject the same documents, with the same values and the same
+located errors, as a parser that checks every cell.
 """
 
 import json
 import math
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +33,6 @@ from cpfs import (
     load_case_study,
     solve,
 )
-from cpfs import values
 from cpfs.serialize import _indented, parse_collections, parse_problem, result_to_dict, write_solve_tables
 from helpers import perfbench_gen, reference_cell, reference_solve_tables
 
@@ -184,21 +181,6 @@ def outcome(parse, cells):
         return str(err)
 
 
-def shared_as_expected(parsed, bound):
-    """While the table holds fewer than ``bound`` pairs, equal non-zero pairs
-    are one object; every cell after it fills, and every pair with a zero
-    component, is an object of its own."""
-    first = {}  # the index of the cell that built each shared pair
-    expected = []
-    for n, c in enumerate(parsed):
-        if c.mu and c.nu and len(first) < bound:
-            expected.append(first.setdefault((c.mu.hex(), c.nu.hex()), n))
-        else:
-            expected.append(n)
-    built = {}
-    assert [built.setdefault(id(c), n) for n, c in enumerate(parsed)] == expected
-
-
 def document(cells):
     return {
         "alternatives": ["A1", "A2"],
@@ -232,26 +214,16 @@ def reference_collections(cells):
     ]
 
 
-# Bounds on the sharing table: full before the first cell, after one or two
-# distinct pairs, and the real bound, which eight cells never reach.
-bounds = st.sampled_from([0, 1, 2, values._SHARED_MAX])
-
-
 @settings(max_examples=300)
-@given(st.lists(cells, min_size=8, max_size=8), bounds)
-@example([[0.5, 0.5]] * 7 + [[1, 0]], values._SHARED_MAX)
-@example([[-0.0, 0.5]] * 8, values._SHARED_MAX)
-@example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4, values._SHARED_MAX)
-@example([[0.5, 0.5], [0.9, 0.9]] * 4, 1)
-@example([[0.5, 0.5]] * 8, 1)
-@example([[0.25, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.25, 0.5]] * 2, 1)
-def test_parse_matches_a_parser_that_checks_every_cell(cells, bound):
-    with mock.patch.object(values, "_SHARED_MAX", bound):
-        for parse, ref in ((fast, reference), (fast_collections, reference_collections)):
-            got = outcome(parse, cells)
-            assert got == outcome(ref, cells)
-            if not isinstance(got, str):
-                shared_as_expected(parse(cells), bound)
+@given(st.lists(cells, min_size=8, max_size=8))
+@example([[0.5, 0.5]] * 7 + [[1, 0]])
+@example([[-0.0, 0.5]] * 8)
+@example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4)
+@example([[0.5, 0.5], [0.9, 0.9]] * 4)
+@example([[0.25, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.25, 0.5]] * 2)
+def test_parse_matches_a_parser_that_checks_every_cell(cells):
+    for parse, ref in ((fast, reference), (fast_collections, reference_collections)):
+        assert outcome(parse, cells) == outcome(ref, cells)
 
 
 def test_json_negative_zero_keeps_its_sign():

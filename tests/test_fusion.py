@@ -3,9 +3,10 @@ import math
 import pytest
 
 from cpfs import (
-    DimensionMismatch,
-    EmptyInput,
     PFV,
+    DecisionProblem,
+    EmptyInput,
+    WeightVector,
     build_circular_matrix,
     fuse,
     round_half_up,
@@ -87,11 +88,20 @@ class TestFuse:
             assert fuse(collection) == fuse(shuffled)
 
 
+def problem_of(*matrices):
+    """The problem whose expert matrices are ``matrices``; labels and weights are filler."""
+    n, k = len(matrices[0]), len(matrices[0][0])
+    return DecisionProblem(
+        tuple(f"A{i}" for i in range(n)), tuple(f"C{j}" for j in range(k)),
+        ("benefit",) * k, WeightVector.uniform(k), matrices,
+    )
+
+
 class TestBuildCircularMatrix:
     def test_cellwise_fusion(self):
         e1 = [pfvs((0.4, 0.8), (0.8, 0.6)), pfvs((0.7, 0.5), (0.9, 0.2))]
         e2 = [pfvs((0.3, 0.9), (0.7, 0.6)), pfvs((0.7, 0.4), (0.9, 0.2))]
-        out = build_circular_matrix([e1, e2])
+        out = build_circular_matrix(problem_of(e1, e2))
         assert len(out) == 2 and len(out[0]) == 2
         expected = fuse([e1[0][0], e2[0][0]])
         assert out[0][0] == expected
@@ -99,27 +109,11 @@ class TestBuildCircularMatrix:
     def test_known_cell_radius(self):
         # one cell of the case study: three expert opinions spread widely
         cell = pfvs((0.6, 0.4), (0.4, 0.4), (0.2, 0.9))
-        out = build_circular_matrix([[[c]] for c in [cell[0]]])  # shape sanity only
-        fused = fuse(cell)
-        assert round_half_up(fused.r) == 0.37
-        assert out[0][0].r == 0.0
+        out = build_circular_matrix(problem_of(*([[c]] for c in cell)))
+        assert round_half_up(out[0][0].r) == 0.37
+        assert out[0][0] == fuse(cell)
 
     def test_single_expert_radii_are_zero(self):
         e1 = [pfvs((0.4, 0.8), (0.8, 0.6)), pfvs((0.7, 0.5), (0.9, 0.2))]
-        out = build_circular_matrix([e1])
+        out = build_circular_matrix(problem_of(e1))
         assert all(v.r == 0.0 for row in out for v in row)
-
-    def test_shape_mismatch_rejected(self):
-        e1 = [pfvs((0.4, 0.8), (0.8, 0.6))]
-        e2 = [pfvs((0.3, 0.9), (0.7, 0.6)), pfvs((0.7, 0.4), (0.9, 0.2))]
-        with pytest.raises(DimensionMismatch):
-            build_circular_matrix([e1, e2])
-
-    def test_ragged_matrix_rejected(self):
-        bad = [pfvs((0.4, 0.8), (0.8, 0.6)), pfvs((0.7, 0.5))]
-        with pytest.raises(DimensionMismatch):
-            build_circular_matrix([bad])
-
-    def test_no_experts_rejected(self):
-        with pytest.raises(EmptyInput):
-            build_circular_matrix([])

@@ -119,6 +119,10 @@ class TestDecisionProblem:
         with pytest.raises(InvalidWeights, match=r"weights\[0\]"):
             DecisionProblem(("A1",), ("C1", "C2"), ("benefit", "cost"), ("x", "y"), cells)
 
+    def test_no_experts_rejected(self):
+        with pytest.raises(EmptyInput, match="^need at least one expert matrix$"):
+            DecisionProblem(("A1",), ("C1",), ("benefit",), WeightVector.of(1.0), ())
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInput):
             DecisionProblem(

@@ -1,12 +1,11 @@
 import csv
-import dataclasses
 import io
 import json
 import re
 
 import pytest
 
-from cpfs import DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
+from cpfs import DecisionProblem, DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
 from cpfs.cli import main
 from helpers import perfbench_gen
 from cpfs.serialize import (
@@ -82,6 +81,19 @@ class TestParseProblem:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_problem("{not json", source="broken.json")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("experts", 1), [[[0.5, 0.5], [0.5, 0.5]]], r"experts\[1\]: expected 2 items, one per alternative, got 1"),
+        (("experts", 0, 1), [[0.5, 0.5]] * 3, r"experts\[0\]\[1\]: expected 2 items, one per criterion, got 3"),
+    ], ids=["rows", "cells"])
+    def test_a_matrix_of_the_wrong_shape_is_located(self, path, value, message):
+        doc = minimal_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_problem(doc)
 
     @pytest.mark.parametrize(
         "path, value, location",
@@ -402,7 +414,8 @@ class TestCli:
     def test_a_lone_surrogate_label_is_rejected_before_any_file(self, tmp_path):
         problem = parse_problem(minimal_doc())
         with pytest.raises(DomainError, match="label is not valid text"):
-            problem = dataclasses.replace(problem, alternatives=("A\ud800", "A2"))
+            problem = DecisionProblem(("A\ud800", "A2"), problem.criteria, problem.polarity,
+                                      problem.weights, problem.experts)
             write_solve_tables(solve(problem), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -509,3 +522,26 @@ class TestCli:
 
     def test_missing_input_file(self, capsys):
         assert main(["validate", "--input", "does-not-exist.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input"], ["solve", "--input"], ["solve", "--config"], ["fuse", "--input"],
+    ], ids=["validate", "solve input", "solve config", "fuse"])
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main([*argv, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid UTF-8 text: invalid start byte at byte 0")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        json.dumps(minimal_doc()).replace('"experts": [', '"experts": ' + "[" * 200_000, 1),
+    ], ids=["top level", "experts"])
+    def test_nesting_past_the_recursion_limit_is_invalid_json(self, tmp_path, capsys, text):
+        with pytest.raises(ParseError, match="^deep.json: invalid JSON: maximum recursion depth"):
+            parse_problem(text, source="deep.json")
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        assert main(["validate", "--input", str(deep)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep}: invalid JSON: maximum recursion depth")

@@ -14,7 +14,7 @@ The output file holds every run record and result, one pair to a line,
 and a summary per workload: for each end-to-end metric of
 ``BENCHMARK.json``, both sides' values, medians and quartiles, the parent's
 interquartile range, and ``wins``, the number of pairs in which the change
-was better.
+was better.  ``src_lines`` holds each side's line count of ``src/cpfs/*.py``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ def export(revision: str, into: Path) -> None:
         archive.seek(0)
         with tarfile.open(fileobj=archive) as tar:
             tar.extractall(into)
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of ``src/cpfs/*.py`` under ``checkout``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "cpfs").glob("*.py"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -119,6 +124,7 @@ def main(argv=None) -> int:
                     solve_ms = pair[side]["result"]["metrics"]["solve_p50_ms"]["value"]
                     print(f"{workload} pair {i} {side}: solve_p50_ms {solve_ms:.2f}", file=sys.stderr)
                 pairs.append(pair)
+        lines = {"parent": src_lines(parent), "change": src_lines(ROOT)}
 
     machine = {k: v for k, v in pairs[0]["parent"]["record"]["provenance"].items()
                if k not in ("git_commit", "seed")}
@@ -133,6 +139,7 @@ def main(argv=None) -> int:
                 "runs first",
         "pairs": pairs,
         "parent_commit": parent_commit,
+        "src_lines": lines,
         "summary": summarize(pairs, benchmark["end_to_end"]),
     }
     args.out.write_text(dumps(doc), encoding="utf-8")
