@@ -5,6 +5,7 @@ import pytest
 from cpfs import (
     PFV,
     DecisionProblem,
+    DimensionMismatch,
     EmptyInput,
     WeightVector,
     build_circular_matrix,
@@ -117,3 +118,15 @@ class TestBuildCircularMatrix:
         e1 = [pfvs((0.4, 0.8), (0.8, 0.6)), pfvs((0.7, 0.5), (0.9, 0.2))]
         out = build_circular_matrix(problem_of(e1))
         assert all(v.r == 0.0 for row in out for v in row)
+
+    # the shape checks live in DecisionProblem, so bad matrices never reach the fusion
+    def test_shape_mismatch_rejected(self):
+        e1 = [pfvs((0.4, 0.8), (0.8, 0.6))]
+        e2 = [pfvs((0.3, 0.9), (0.7, 0.6)), pfvs((0.7, 0.4), (0.9, 0.2))]
+        with pytest.raises(DimensionMismatch):
+            build_circular_matrix(problem_of(e1, e2))
+
+    def test_ragged_matrix_rejected(self):
+        bad = [pfvs((0.4, 0.8), (0.8, 0.6)), pfvs((0.7, 0.5))]
+        with pytest.raises(DimensionMismatch):
+            build_circular_matrix(problem_of(bad))
