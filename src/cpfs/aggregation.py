@@ -123,7 +123,7 @@ def _generator_sum(
 ) -> CPFV:
     """``< mu_gen_inv(sum w_i mu_gen(mu_i)), ...; r_gen_inv(sum w_i r_gen(r_i)) >``: the one
     generator formula behind the weighted operators, sums and scalar multiples."""
-    return CPFV.of(
+    return CPFV(
         _weighted(mu_gen, [v.mu for v in values], ws),
         _weighted(nu_gen, [v.nu for v in values], ws),
         _weighted(r_gen, [v.r for v in values], ws),

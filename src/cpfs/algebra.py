@@ -90,7 +90,7 @@ def _prod_sum(x: float, y: float) -> float:
 
 def add_minmax(a: CPFV, b: CPFV, radius_mode: RadiusMode = "min") -> CPFV:
     """Product-family center sum with min/max radius."""
-    return CPFV.of(_prod_sum(a.mu, b.mu), a.nu * b.nu, radius_mode_op(radius_mode)(a.r, b.r))
+    return CPFV(_prod_sum(a.mu, b.mu), a.nu * b.nu, radius_mode_op(radius_mode)(a.r, b.r))
 
 
 def multiply_minmax(a: CPFV, b: CPFV, radius_mode: RadiusMode = "min") -> CPFV:
@@ -108,7 +108,7 @@ def add_general(a: CPFV, b: CPFV, tnorm: BinaryOp, radius_op: BinaryOp) -> CPFV:
     which is why :func:`add_minmax` keeps its own closed form.
     """
     tconorm = dual_tconorm(tnorm)
-    return CPFV.of(
+    return CPFV(
         tconorm(a.mu, b.mu),
         tnorm(a.nu, b.nu),
         radius_op(a.r, b.r),

@@ -33,7 +33,7 @@ def _fused(mus: Sequence[float], nus: Sequence[float]) -> CPFV:
     mu = math.sqrt(math.fsum(map(mul, mus, mus)) / k)
     nu = math.sqrt(math.fsum(map(mul, nus, nus)) / k)
     r = max(map(math.hypot, [mu - x for x in mus], [nu - y for y in nus]))
-    return CPFV.of(mu, nu, min(r, 1.0))
+    return CPFV(mu, nu, min(r, 1.0))
 
 
 def fuse(collection: Sequence[PFV]) -> CPFV:

@@ -250,7 +250,7 @@ def solve(
             aggregated.append(v)
             if aggregate_precision is not None:
                 # Rounding half-up can carry a value on the unit circle out of the disc.
-                v = CPFV.of(*(round_half_up(x, aggregate_precision) for x in v.as_tuple()))
+                v = CPFV(*(round_half_up(x, aggregate_precision) for x in v.as_tuple()))
             scored.append(v)
             similarities.append(csm_to_ideal(v))
         except CircularFuzzyError as err:

@@ -160,12 +160,15 @@ def load_problem(path: str | Path) -> DecisionProblem:
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
     """Inverse of :func:`parse_problem`; round-trips exactly."""
+    _, n, k = problem.shape
+    cells = [[mu, nu] for mu, nu in zip(problem.mu, problem.nu)]
+    rows = [cells[c : c + k] for c in range(0, len(cells), k)]
     return {
         "alternatives": list(problem.alternatives),
         "criteria": list(problem.criteria),
         "polarity": list(problem.polarity),
         "weights": list(problem.weights),
-        "experts": [[[[c.mu, c.nu] for c in row] for row in matrix] for matrix in problem.experts],
+        "experts": [rows[r : r + n] for r in range(0, len(rows), n)],
     }
 
 

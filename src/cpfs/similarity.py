@@ -24,7 +24,7 @@ __all__ = ["IDEAL", "csm", "csm_to_ideal"]
 
 #: The reference value every alternative is scored against: full membership,
 #: no non-membership, maximal radius.
-IDEAL = CPFV.of(1.0, 0.0, 1.0)
+IDEAL = CPFV(1.0, 0.0, 1.0)
 
 
 def csm(a: CPFV, b: CPFV) -> float:

@@ -4,9 +4,10 @@ Three immutable types build on each other:
 
 - :class:`PFV` -- a membership / non-membership pair ``(mu, nu)`` on the unit
   interval constrained by ``mu**2 + nu**2 <= 1``.
-- :class:`CPFV` -- a :class:`PFV` center together with a radius ``r`` in
-  ``[0, 1]``; the circle models the uncertainty of the evaluation around the
-  center.  The atomic value of the whole package.
+- :class:`CPFV` -- the triple ``<mu, nu; r>``: a circle whose center ``(mu, nu)``
+  obeys the :class:`PFV` invariants (``center`` builds that :class:`PFV` on each
+  access), with a radius ``r`` in ``[0, 1]`` that models the uncertainty of the
+  evaluation around the center.  The atomic value of the whole package.
 - :class:`CPFS` -- an ordered, label-indexed family of :class:`CPFV` over a
   finite universe.  Each element carries its own radius; a uniform-radius set
   is simply the special case where all radii coincide.
@@ -133,6 +134,16 @@ def _require_point(mu: float, nu: float) -> None:
         raise ConstraintViolation(f"mu**2 + nu**2 must not exceed 1, got {s} for mu={mu}, nu={nu}")
 
 
+def _point(self: PFV | CPFV) -> None:
+    """The one point check, ``PFV.__post_init__``: floats ``mu``, ``nu`` by :func:`_require_point`."""
+    mu, nu = self.mu, self.nu
+    if type(mu) is not float or type(nu) is not float:
+        mu, nu = _require_component(mu, "mu"), _require_component(nu, "nu")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+    _require_point(mu, nu)
+
+
 @dataclass(frozen=True, slots=True)
 class PFV:
     """A membership / non-membership pair with quadratic constraint.
@@ -146,13 +157,7 @@ class PFV:
     mu: float
     nu: float
 
-    def __post_init__(self) -> None:
-        mu, nu = self.mu, self.nu
-        if type(mu) is not float or type(nu) is not float:
-            mu, nu = _require_component(mu, "mu"), _require_component(nu, "nu")
-            object.__setattr__(self, "mu", mu)
-            object.__setattr__(self, "nu", nu)
-        _require_point(mu, nu)
+    __post_init__ = _point
 
     @property
     def quadratic_sum(self) -> float:
@@ -165,43 +170,34 @@ class PFV:
 
 @dataclass(frozen=True, slots=True)
 class CPFV:
-    """A :class:`PFV` center plus a radius in ``[0, 1]``."""
+    """The circle ``<mu, nu; r>``: a point-value center ``(mu, nu)`` and a radius in ``[0, 1]``."""
 
-    center: PFV
+    mu: float
+    nu: float
     r: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.center, PFV):
-            raise OutOfRange(f"center must be a PFV, got {_shown(self.center)}")
-        r = self.r
-        if type(r) is not float or not 0.0 <= r <= 1.0:  # a float in [0, 1] passes as it is
-            object.__setattr__(self, "r", _require_component(r, "radius", RadiusOutOfRange))
-
-    @classmethod
-    def of(cls, mu: float, nu: float, r: float) -> "CPFV":
-        """Build from raw components, validating everything."""
-        return cls(PFV(mu, nu), r)
+        _point(self)
+        if type(self.r) is not float or not 0.0 <= self.r <= 1.0:  # a float in [0, 1] passes as it is
+            object.__setattr__(self, "r", _require_component(self.r, "radius", RadiusOutOfRange))
 
     @property
-    def mu(self) -> float:
-        return self.center.mu
-
-    @property
-    def nu(self) -> float:
-        return self.center.nu
+    def center(self) -> PFV:
+        """The center as a point value; built on each access."""
+        return PFV(self.mu, self.nu)
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.center.mu, self.center.nu, self.r)
+        return (self.mu, self.nu, self.r)
 
     def complement(self) -> "CPFV":
         """Swap the center's membership and non-membership; radius unchanged."""
-        return CPFV(self.center.complement(), self.r)
+        return CPFV(self.nu, self.mu, self.r)
 
 
 #: The validating constructors under their functional names: they raise
 #: OutOfRange, ConstraintViolation or RadiusOutOfRange.
 validate_pfv = PFV
-validate_cpfv = CPFV.of
+validate_cpfv = CPFV
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +218,7 @@ class CPFS:
     @classmethod
     def from_components(cls, rows: Iterable[tuple[str, float, float, float]]) -> "CPFS":
         """Build from ``(label, mu, nu, r)`` rows."""
-        return cls(tuple((label, CPFV.of(mu, nu, r)) for label, mu, nu, r in rows))
+        return cls(tuple((label, CPFV(mu, nu, r)) for label, mu, nu, r in rows))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.elements)
@@ -282,7 +278,7 @@ def union(a: CPFS, b: CPFS, radius_mode: RadiusMode = "min") -> CPFS:
     pick = radius_mode_op(radius_mode)
     return CPFS(
         tuple(
-            (label, CPFV.of(max(x.mu, y.mu), min(x.nu, y.nu), pick(x.r, y.r)))
+            (label, CPFV(max(x.mu, y.mu), min(x.nu, y.nu), pick(x.r, y.r)))
             for label, x, y in _paired(a, b)
         )
     )

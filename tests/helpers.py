@@ -88,7 +88,7 @@ def sample_cpfv(rng: random.Random, boundary_prob: float = 0.05) -> CPFV:
         r = 1.0
     else:
         r = rng.random()
-    return CPFV(center, r)
+    return CPFV(center.mu, center.nu, r)
 
 
 def grow(rng: random.Random, a: CPFV) -> CPFV:
@@ -97,7 +97,7 @@ def grow(rng: random.Random, a: CPFV) -> CPFV:
     mu_max = math.sqrt(max(0.0, 1.0 - nu * nu))
     mu = a.mu + (mu_max - a.mu) * rng.random()
     r = a.r + (1.0 - a.r) * rng.random()
-    return CPFV.of(min(mu, mu_max), nu, r)
+    return CPFV(min(mu, mu_max), nu, r)
 
 
 def assert_cpfv_close(a: CPFV, b: CPFV, tol: float = 1e-12) -> None:
@@ -300,7 +300,7 @@ def reference_solve_tables(result, out: Path, precision: int = 2) -> None:
 
 
 def reference_multiply(a, b, gens) -> CPFV:
-    return CPFV.of(
+    return CPFV(
         gens.g.combine(a.mu, b.mu),
         gens.h.combine(a.nu, b.nu),
         gens.q.combine(a.r, b.r),
@@ -309,7 +309,7 @@ def reference_multiply(a, b, gens) -> CPFV:
 
 def reference_power(a, lam, gens) -> CPFV:
     lam = _require_positive(lam)
-    return CPFV.of(
+    return CPFV(
         gens.g.scale(lam, a.mu),
         gens.h.scale(lam, a.nu),
         gens.q.scale(lam, a.r),
@@ -321,12 +321,12 @@ def reference_multiply_minmax(a, b, radius_mode="min") -> CPFV:
         raise ValueError(f"radius_mode must be 'min' or 'max', got {radius_mode!r}")
     r = min(a.r, b.r) if radius_mode == "min" else max(a.r, b.r)
     xx, yy = a.nu * a.nu, b.nu * b.nu
-    return CPFV.of(a.mu * b.mu, math.sqrt(max(0.0, xx + yy - xx * yy)), r)
+    return CPFV(a.mu * b.mu, math.sqrt(max(0.0, xx + yy - xx * yy)), r)
 
 
 def reference_multiply_general(a, b, tnorm, radius_op) -> CPFV:
     tconorm = dual_tconorm(tnorm)
-    return CPFV.of(
+    return CPFV(
         tnorm(a.mu, b.mu),
         tconorm(a.nu, b.nu),
         radius_op(a.r, b.r),
@@ -338,7 +338,7 @@ def reference_multiply_general(a, b, tnorm, radius_op) -> CPFV:
 
 
 def reference_add(a, b, gens) -> CPFV:
-    return CPFV.of(
+    return CPFV(
         gens.h.combine(a.mu, b.mu),
         gens.g.combine(a.nu, b.nu),
         gens.q.combine(a.r, b.r),
@@ -347,7 +347,7 @@ def reference_add(a, b, gens) -> CPFV:
 
 def reference_scalar_multiple(lam, a, gens) -> CPFV:
     lam = _require_positive(lam)
-    return CPFV.of(
+    return CPFV(
         gens.h.scale(lam, a.mu),
         gens.g.scale(lam, a.nu),
         gens.q.scale(lam, a.r),
@@ -357,7 +357,7 @@ def reference_scalar_multiple(lam, a, gens) -> CPFV:
 def reference_cpwg(values, w, gens=None) -> CPFV:
     values, ws = _checked(values, w)
     gens = gens if gens is not None else algebraic_pair()
-    return CPFV.of(
+    return CPFV(
         _weighted(gens.g, [v.mu for v in values], ws),
         _weighted(gens.h, [v.nu for v in values], ws),
         _weighted(gens.q, [v.r for v in values], ws),
@@ -374,7 +374,7 @@ def reference_intersect(a, b, radius_mode="min") -> CPFS:
 
     return CPFS(
         tuple(
-            (label, CPFV.of(min(x.mu, y.mu), max(x.nu, y.nu), pick(x.r, y.r)))
+            (label, CPFV(min(x.mu, y.mu), max(x.nu, y.nu), pick(x.r, y.r)))
             for label, x, y in _paired(a, b)
         )
     )

@@ -237,7 +237,7 @@ def test_criterion_6_worked_examples():
         ([(0.9, 0.2), (0.8, 0.3), (0.8, 0.2), (0.7, 0.5)], (0.80, 0.32, 0.20)),
     ]
     for pairs, expected in collections:
-        out = fuse([CPFV.of(mu, nu, 0.0).center for mu, nu in pairs])
+        out = fuse([CPFV(mu, nu, 0.0).center for mu, nu in pairs])
         got = (round_half_up(out.mu), round_half_up(out.nu), round_half_up(out.r))
         assert got == expected
     report("6 (worked examples)", "PASS", "set operations exact, fusion at 2 decimals")

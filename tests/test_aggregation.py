@@ -108,7 +108,7 @@ def assert_matches(out, oracle, tol=1e-12):
 
 class TestCpwa:
     def test_single_value_is_identity(self):
-        v = CPFV.of(0.3, 0.7, 0.5)
+        v = CPFV(0.3, 0.7, 0.5)
         assert_cpfv_close(cpwa([v], WeightVector.of(1.0), Q), v)
 
     def test_idempotence(self):
@@ -122,11 +122,11 @@ class TestCpwa:
     def test_two_decimal_anchor(self):
         # case-study row A2 of the fused table, rounded to two decimals
         row = [
-            CPFV.of(0.67, 0.47, 0.08),
-            CPFV.of(0.90, 0.20, 0.00),
-            CPFV.of(0.80, 0.30, 0.20),
-            CPFV.of(0.30, 0.54, 0.06),
-            CPFV.of(0.42, 0.47, 0.18),
+            CPFV(0.67, 0.47, 0.08),
+            CPFV(0.90, 0.20, 0.00),
+            CPFV(0.80, 0.30, 0.20),
+            CPFV(0.30, 0.54, 0.06),
+            CPFV(0.42, 0.47, 0.18),
         ]
         out = cpwa(row, CASE_WEIGHTS, Q)
         assert (round_half_up(out.mu), round_half_up(out.nu), round_half_up(out.r)) == (
@@ -139,18 +139,18 @@ class TestCpwa:
         rng = make_rng(42)
         for _ in range(100):
             values = [sample_cpfv(rng) for _ in range(3)]
-            values[1] = CPFV(values[1].center, 0.0)
+            values[1] = CPFV(values[1].mu, values[1].nu, 0.0)
             out = cpwa(values, WeightVector.uniform(3), Q)
             assert out.r == 0.0
 
     def test_all_zero_radii_degenerate_to_zero(self):
         rng = make_rng(43)
-        values = [CPFV(sample_cpfv(rng).center, 0.0) for _ in range(4)]
+        values = [CPFV(v.mu, v.nu, 0.0) for v in (sample_cpfv(rng) for _ in range(4))]
         assert cpwa(values, WeightVector.uniform(4), Q).r == 0.0
 
     def test_weight_zero_component_is_ignored(self):
-        a = CPFV.of(0.5, 0.5, 0.0)  # annihilating radius, but weight 0
-        b = CPFV.of(0.6, 0.3, 0.4)
+        a = CPFV(0.5, 0.5, 0.0)  # annihilating radius, but weight 0
+        b = CPFV(0.6, 0.3, 0.4)
         out = cpwa([a, b], WeightVector.of(0.0, 1.0), Q)
         assert_cpfv_close(out, b)
 
@@ -158,7 +158,7 @@ class TestCpwa:
         with pytest.raises(EmptyInput):
             cpwa([], WeightVector.of(1.0), Q)
         with pytest.raises(LengthMismatch):
-            cpwa([CPFV.of(0.5, 0.5, 0.5)], WeightVector.of(0.5, 0.5), Q)
+            cpwa([CPFV(0.5, 0.5, 0.5)], WeightVector.of(0.5, 0.5), Q)
 
     def test_matches_closed_form(self):
         rng = make_rng(44)
@@ -180,7 +180,7 @@ class TestCpwa:
             i = rng.randrange(3)
             v = values[i]
             cap = math.sqrt(max(0.0, 1.0 - v.nu * v.nu))
-            bumped = CPFV.of(v.mu + (cap - v.mu) * 0.5, v.nu, v.r)
+            bumped = CPFV(v.mu + (cap - v.mu) * 0.5, v.nu, v.r)
             values[i] = bumped
             assert cpwa(values, w, Q).mu >= base.mu - 1e-15
 
@@ -193,13 +193,13 @@ class TestCpwa:
             i = rng.randrange(3)
             v = values[i]
             cap = math.sqrt(max(0.0, 1.0 - v.mu * v.mu))
-            values[i] = CPFV.of(v.mu, v.nu + (cap - v.nu) * 0.5, v.r)
+            values[i] = CPFV(v.mu, v.nu + (cap - v.nu) * 0.5, v.r)
             assert cpwa(values, w, Q).nu >= base.nu - 1e-15
 
 
 class TestCpwg:
     def test_single_value_is_identity(self):
-        v = CPFV.of(0.3, 0.7, 0.5)
+        v = CPFV(0.3, 0.7, 0.5)
         assert_cpfv_close(cpwg([v], WeightVector.of(1.0), Q), v)
 
     def test_two_decimal_anchor(self):
@@ -207,18 +207,18 @@ class TestCpwg:
         # reference radius for this row is 0.11, which its own inputs rederive
         # as 0.12 -- hence the loose radius comparison
         row = [
-            CPFV.of(0.45, 0.83, 0.16),
-            CPFV.of(0.73, 0.60, 0.07),
-            CPFV.of(0.54, 0.77, 0.09),
-            CPFV.of(0.38, 0.64, 0.19),
-            CPFV.of(0.34, 0.60, 0.24),
+            CPFV(0.45, 0.83, 0.16),
+            CPFV(0.73, 0.60, 0.07),
+            CPFV(0.54, 0.77, 0.09),
+            CPFV(0.38, 0.64, 0.19),
+            CPFV(0.34, 0.60, 0.24),
         ]
         out = cpwg(row, CASE_WEIGHTS, Q)
         assert (round_half_up(out.mu), round_half_up(out.nu)) == (0.52, 0.69)
         assert abs(out.r - 0.11) <= 0.02
 
     def test_zero_membership_annihilates(self):
-        values = [CPFV.of(0.0, 0.5, 0.5), CPFV.of(0.8, 0.1, 0.5)]
+        values = [CPFV(0.0, 0.5, 0.5), CPFV(0.8, 0.1, 0.5)]
         assert cpwg(values, WeightVector.of(0.5, 0.5), Q).mu == 0.0
 
     def test_matches_closed_form(self):

@@ -27,8 +27,8 @@ mp.dps = 60
 Q = algebraic_pair("algebraic_q")
 P = algebraic_pair("algebraic_p")
 
-A = CPFV.of(0.6, 0.5, 0.2)
-B = CPFV.of(0.8, 0.3, 0.4)
+A = CPFV(0.6, 0.5, 0.2)
+B = CPFV(0.8, 0.3, 0.4)
 
 # Closed-form oracles, evaluated in 60-digit arithmetic so that comparisons
 # against the float implementation are against the true value, not against a
@@ -88,7 +88,7 @@ class TestAdd:
 
     def test_neutral_element(self):
         rng = make_rng(21)
-        zero = CPFV.of(0.0, 1.0, 1.0)
+        zero = CPFV(0.0, 1.0, 1.0)
         for _ in range(200):
             a = sample_cpfv(rng)
             assert_cpfv_close(add(zero, a, Q), a)
@@ -110,13 +110,13 @@ class TestMultiply:
 
     def test_neutral_element(self):
         rng = make_rng(23)
-        one = CPFV.of(1.0, 0.0, 1.0)
+        one = CPFV(1.0, 0.0, 1.0)
         for _ in range(200):
             a = sample_cpfv(rng)
             assert_cpfv_close(multiply(one, a, Q), a)
 
     def test_zero_membership_annihilates(self):
-        out = multiply(CPFV.of(0.0, 0.7, 0.5), B, Q)
+        out = multiply(CPFV(0.0, 0.7, 0.5), B, Q)
         assert out.mu == 0.0
 
     def test_matches_closed_form_on_random_pairs(self):
@@ -168,7 +168,7 @@ class TestPower:
         assert out.r == pytest.approx(0.04, abs=1e-12)
 
     def test_fixed_point(self):
-        one = CPFV.of(1.0, 0.0, 1.0)
+        one = CPFV(1.0, 0.0, 1.0)
         assert_cpfv_close(power(one, 3.0, Q), one)
 
     @pytest.mark.parametrize("lam", [0.0, -2.5])
@@ -204,7 +204,7 @@ class TestMinMaxVariants:
         assert out.r == 0.4
 
     def test_full_membership_product(self):
-        out = multiply_minmax(CPFV.of(1, 0, 0.3), CPFV.of(1, 0, 0.7), "min")
+        out = multiply_minmax(CPFV(1, 0, 0.3), CPFV(1, 0, 0.7), "min")
         assert out.as_tuple() == (1.0, 0.0, 0.3)
 
     @pytest.mark.parametrize("op", [add_minmax, multiply_minmax])
@@ -219,7 +219,7 @@ class TestMinMaxVariants:
     def test_sum_keeps_tiny_memberships(self, x, y):
         # add_general's dual t-conorm passes through sqrt(1 - x**2), which is
         # exactly 1.0 here, and returns 0; the closed form keeps the value.
-        out = add_minmax(CPFV.of(x, 0.5, 0.2), CPFV.of(y, 0.5, 0.3))
+        out = add_minmax(CPFV(x, 0.5, 0.2), CPFV(y, 0.5, 0.3))
         want = _dual_sum(x, y)
         assert abs(mpf(out.mu) - want) <= 4 * mpf(2) ** -52 * want
 
@@ -252,7 +252,7 @@ class TestGeneralOperations:
 
     def test_neutral_element_with_max_radius(self):
         T = lambda x, y: x * y  # noqa: E731
-        zero = CPFV.of(0.0, 1.0, 0.0)
+        zero = CPFV(0.0, 1.0, 0.0)
         rng = make_rng(31)
         for _ in range(200):
             b = sample_cpfv(rng)
@@ -361,7 +361,7 @@ def cpfv_values(draw):
     mu = draw(unit)
     cap = math.sqrt(max(0.0, 1.0 - mu * mu))
     nu = draw(st.floats(min_value=0.0, max_value=cap, allow_nan=False)) if cap > 0.0 else 0.0
-    return CPFV.of(mu, nu, draw(unit))
+    return CPFV(mu, nu, draw(unit))
 
 
 @given(cpfv_values(), cpfv_values())

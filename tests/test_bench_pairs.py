@@ -1,6 +1,8 @@
-"""``tools/bench_pairs.py``: its line count of ``src/`` and its summary of pairs."""
+"""``tools/bench_pairs.py``: its line count of ``src/``, its summary of pairs, its
+``--pairs`` check and the layout of the committed ``BENCH_*.json`` files."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -59,3 +61,18 @@ def test_summarize_counts_wins_by_each_metrics_direction(bench_pairs):
     # One pair: every quartile is its value.
     assert summary["v"]["t"]["parent_quartiles"] == [1.0, 1.0, 1.0]
     assert summary["v"]["t"]["wins"] == 0
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_a_pair_count_below_one_is_a_usage_error(bench_pairs, pairs, capsys):
+    with pytest.raises(SystemExit) as raised:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "tall", "--seed", "1",
+                          "--out", "unused.json", "--pairs", pairs])
+    assert raised.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_each_committed_bench_file_is_laid_out_by_dumps(bench_pairs, path):
+    text = path.read_text(encoding="utf-8")
+    assert text == bench_pairs.dumps(json.loads(text))

@@ -70,7 +70,7 @@ centers = st.one_of(
     st.tuples(unit, unit).filter(lambda p: p[0] * p[0] + p[1] * p[1] <= 1.0),
 )
 radii = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), unit)
-cpfvs = st.builds(lambda c, r: CPFV.of(c[0], c[1], r), centers, radii)
+cpfvs = st.builds(lambda c, r: CPFV(c[0], c[1], r), centers, radii)
 gens = st.sampled_from(sorted(GENS)).map(GENS.get)
 lambdas = st.one_of(st.sampled_from([1.0, 0.5, 2.0, 1e-3, 1e3, 1]), st.floats(1e-6, 1e6))
 modes = st.sampled_from(["min", "max"])
@@ -172,7 +172,7 @@ def test_intersect_is_reference(sets, mode):
 
 @pytest.mark.parametrize("pair", sorted(GENS))
 def test_signed_zero_survives_the_conjugation(pair):
-    a, b = CPFV.of(-0.0, 1.0, -0.0), CPFV.of(0.6, 0.8, 0.0)
+    a, b = CPFV(-0.0, 1.0, -0.0), CPFV(0.6, 0.8, 0.0)
     for got, want in [
         (multiply(a, b, GENS[pair]), reference_multiply(a, b, GENS[pair])),
         (power(a, 2.0, GENS[pair]), reference_power(a, 2.0, GENS[pair])),

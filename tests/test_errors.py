@@ -26,7 +26,7 @@ from cpfs import (
 )
 from cpfs.values import radius_mode_op
 
-A = CPFV.of(0.6, 0.5, 0.2)
+A = CPFV(0.6, 0.5, 0.2)
 S = CPFS((("x", A),))
 G, H = algebraic_generator(), algebraic_dual_generator()
 

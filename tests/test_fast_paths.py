@@ -72,7 +72,7 @@ def results(draw):
             )),
         )
 
-    cpfvs = st.tuples(pfvs, unit).map(lambda p: CPFV(*p))
+    cpfvs = st.tuples(pfvs, unit).map(lambda p: CPFV(p[0].mu, p[0].nu, p[1]))
     circular = tuple(tuple(draw(st.lists(cpfvs, min_size=m, max_size=m))) for _ in alts)
     aggregated = tuple(draw(st.lists(cpfvs, min_size=n, max_size=n)))
     similarities = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
@@ -104,7 +104,7 @@ def test_negative_zero_keeps_its_sign_after_a_positive_zero(tmp_path):
     a, b = PFV(0.0, 0.5), PFV(-0.0, 0.5)
     problem = DecisionProblem(("A1", "A2"), ("C1",), ("benefit",), WeightVector((1.0,)),
                               (((a,), (b,)),))
-    v = CPFV(a, 0.0)
+    v = CPFV(a.mu, a.nu, 0.0)
     result = PipelineResult(problem, problem, ((v,), (v,)), (v, v), (v, v), (0.5, 0.5),
                             Ranking.from_scores(("A1", "A2"), (0.5, 0.5)), "cpwa_q")
     write_solve_tables(result, tmp_path)

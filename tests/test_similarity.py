@@ -25,7 +25,7 @@ class TestCsm:
             assert csm(a, b) == csm(b, a)
 
     def test_orthogonal_centers_equal_radii(self):
-        assert csm(CPFV.of(1, 0, 1), CPFV.of(0, 1, 1)) == 0.5
+        assert csm(CPFV(1, 0, 1), CPFV(0, 1, 1)) == 0.5
 
     def test_range(self):
         rng = make_rng(73)
@@ -37,13 +37,13 @@ class TestCsm:
 
     def test_degenerate_center_rejected(self):
         with pytest.raises(DegenerateCenter):
-            csm(CPFV.of(0.0, 0.0, 0.5), CPFV.of(0.5, 0.5, 0.5))
+            csm(CPFV(0.0, 0.0, 0.5), CPFV(0.5, 0.5, 0.5))
         with pytest.raises(DegenerateCenter):
-            csm(CPFV.of(0.5, 0.5, 0.5), CPFV.of(0.0, 0.0, 0.5))
+            csm(CPFV(0.5, 0.5, 0.5), CPFV(0.0, 0.0, 0.5))
 
     def test_known_value_against_the_ideal(self):
         # cos = 0.66**2 / hypot(0.66**2, 0.43**2); radius term 1 - |0.18 - 1|
-        got = csm(CPFV.of(0.66, 0.43, 0.18), IDEAL)
+        got = csm(CPFV(0.66, 0.43, 0.18), IDEAL)
         assert got == pytest.approx(0.5502528941338231, abs=1e-12)
         assert abs(got - 0.555) <= 0.01  # two-decimal reference agreement
 
@@ -55,15 +55,15 @@ class TestCsm:
             a, b = sample_cpfv(rng), sample_cpfv(rng)
             if (a.mu == 0.0 and a.nu == 0.0) or (b.mu == 0.0 and b.nu == 0.0):
                 continue
-            a, b = CPFV(a.center, 0.5), CPFV(b.center, 0.5)
+            a, b = CPFV(a.mu, a.nu, 0.5), CPFV(b.mu, b.nu, 0.5)
             c = rng.uniform(0.1, 1.0)
-            scaled = CPFV.of(math.sqrt(c) * a.mu, math.sqrt(c) * a.nu, 0.5)
+            scaled = CPFV(math.sqrt(c) * a.mu, math.sqrt(c) * a.nu, 0.5)
             assert abs(csm(a, b) - csm(scaled, b)) <= 1e-12
 
     def test_proportional_squared_centers_also_score_one(self):
         # the converse of "equal implies similarity 1" does not hold
-        a = CPFV.of(0.6, 0.6, 0.3)
-        b = CPFV.of(0.3, 0.3, 0.3)
+        a = CPFV(0.6, 0.6, 0.3)
+        b = CPFV(0.3, 0.3, 0.3)
         assert csm(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -81,14 +81,14 @@ class TestCsmToIdeal:
 
     def test_reference_row_values(self):
         # aggregated case-study rows at two decimals; direct evaluation
-        assert csm_to_ideal(CPFV.of(0.78, 0.32, 0.0)) == pytest.approx(0.493, abs=0.01)
-        assert csm_to_ideal(CPFV.of(0.59, 0.66, 0.11)) == pytest.approx(
+        assert csm_to_ideal(CPFV(0.78, 0.32, 0.0)) == pytest.approx(0.493, abs=0.01)
+        assert csm_to_ideal(CPFV(0.59, 0.66, 0.11)) == pytest.approx(
             0.36713970863890405, abs=1e-12
         )
 
     def test_degenerate_center_rejected(self):
         with pytest.raises(DegenerateCenter):
-            csm_to_ideal(CPFV.of(0.0, 0.0, 1.0))
+            csm_to_ideal(CPFV(0.0, 0.0, 1.0))
 
 
 @st.composite
@@ -97,7 +97,7 @@ def nondegenerate_cpfvs(draw):
     cap = math.sqrt(max(0.0, 1.0 - mu * mu))
     nu = draw(st.floats(min_value=0.0, max_value=cap, allow_nan=False)) if cap > 0.0 else 0.0
     r = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    return CPFV.of(mu, nu, r)
+    return CPFV(mu, nu, r)
 
 
 @given(nondegenerate_cpfvs(), nondegenerate_cpfvs())

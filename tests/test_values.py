@@ -108,7 +108,9 @@ def assert_checked_as_before(x):
     for build, stored, error in (
         (lambda: PFV(x, 0.0), lambda v: v.mu, OutOfRange),
         (lambda: PFV(0.0, x), lambda v: v.nu, OutOfRange),
-        (lambda: CPFV(PFV(0.0, 0.0), x), lambda v: v.r, RadiusOutOfRange),
+        (lambda: CPFV(x, 0.0, 0.0), lambda v: v.mu, OutOfRange),
+        (lambda: CPFV(0.0, x, 0.0), lambda v: v.nu, OutOfRange),
+        (lambda: CPFV(0.0, 0.0, x), lambda v: v.r, RadiusOutOfRange),
     ):
         if expected is None:
             with pytest.raises(error):
@@ -279,6 +281,6 @@ def test_complement_is_involutive_on_points(p):
 
 @given(pfv_values(), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_any_center_and_radius_builds_a_valid_value(p, r):
-    v = CPFV(p, r)
+    v = CPFV(p.mu, p.nu, r)
     assert 0.0 <= v.r <= 1.0
     assert v.center.quadratic_sum <= 1.0 + 1e-9

@@ -96,11 +96,19 @@ def dumps(doc: dict) -> str:
     return text.replace('\n "pairs": [],', f'\n "pairs": [\n  {pairs}\n ],', 1) + "\n"
 
 
+def pair_count(text: str) -> int:
+    """``text`` as a pair count, an integer of at least 1; an argparse type."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
     parser.add_argument("--workload", action="append", required=True, help="repeat for several")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True, help="e.g. BENCH_7.json")
