@@ -28,9 +28,16 @@ __all__ = [
 
 
 class CircularFuzzyError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-    __str__ = Exception.__str__  # not KeyError's, which would quote the message
+    ``str()`` is ``[source: ][location: ]message``: ``location`` names where the
+    error arose and only a :class:`ParseError` has a ``source``; each may be ``None``."""
+
+    location: str | None = None
+
+    def __str__(self) -> str:  # not KeyError's, which would quote the message
+        parts = (getattr(self, "source", None), self.location, Exception.__str__(self))
+        return ": ".join(part for part in parts if part is not None)
 
 
 class OutOfRange(CircularFuzzyError, ValueError):
@@ -88,16 +95,11 @@ class DomainError(CircularFuzzyError, ValueError):
 class ParseError(CircularFuzzyError, ValueError):
     """An input document could not be parsed or validated.
 
-    ``location`` is a human-readable path into the offending document,
-    e.g. ``"experts[1][3][0].mu"``.
+    ``location`` is a path into the offending document, e.g. ``"experts[1][3][0]"``,
+    and ``source`` names the document, e.g. its file path.
     """
 
     def __init__(self, message: str, *, location: str | None = None, source: str | None = None):
+        super().__init__(message)
         self.location = location
         self.source = source
-        prefix = ""
-        if source is not None:
-            prefix += f"{source}: "
-        if location is not None:
-            prefix += f"{location}: "
-        super().__init__(prefix + message)

@@ -254,7 +254,9 @@ def solve(
             scored.append(v)
             similarities.append(csm_to_ideal(v))
         except CircularFuzzyError as err:
-            raise type(err)(f"alternative {_shown(label)}: {err}") from err
+            where = f"alternative {_shown(label)}"
+            err.location = where if err.location is None else f"{where}: {err.location}"
+            raise
     ranking = Ranking.from_scores(problem.alternatives, similarities)
     return PipelineResult(
         problem=problem,

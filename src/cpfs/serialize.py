@@ -10,7 +10,8 @@ Problem document (JSON)::
       "experts":      [ [ [[mu, nu], ...], ... ], ... ]   # expert -> alt -> crit
     }
 
-Collections document (JSON), for fusing point values::
+Collections document (JSON), for fusing point values; ``label`` is optional
+and no other key is allowed::
 
     {"elements": [{"label": "x1", "values": [[mu, nu], ...]}, ...]}
 
@@ -19,21 +20,22 @@ other key is allowed::
 
     {"operator": "cpwa_q", "precision": 2, "aggregate_precision": 2}
 
-Errors carry the offending document path (e.g. ``experts[1][2][0]``), and
-all CSV output is deterministic: fixed column order, fixed half-up decimal
-formatting, ``\n`` line endings.
+Errors carry their document path as ``location`` (e.g. ``experts[1][2][0]``)
+and the document's name as ``source``.  All CSV output is deterministic: fixed
+column order, fixed half-up decimal formatting, ``\n`` line endings.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .aggregation import _operator_name
-from .errors import CircularFuzzyError, DomainError, ParseError, UnknownOperator
+from .errors import CircularFuzzyError, DomainError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import MAX_PRECISION, format_fixed, require_precision
 from .values import PFV, _label, _require_point, _shown
@@ -52,14 +54,20 @@ __all__ = [
 ]
 
 
-def _decode(document: str | dict, source: str | None) -> Any:
-    if not isinstance(document, str):
-        return document
+@contextmanager
+def _decoded(document: str | dict, source: str | None) -> Iterator[Any]:
+    """``document``, decoded if it is JSON text, for a ``with`` block that reads
+    it: a :class:`ParseError` raised in decoding or in the block names ``source``."""
     try:
-        return json.loads(document)
-    # A JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit.
-    except (ValueError, RecursionError) as e:
-        raise ParseError(f"invalid JSON: {e}", source=source) from e
+        try:
+            data = json.loads(document) if isinstance(document, str) else document
+        # A JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit.
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"invalid JSON: {e}") from e
+        yield data
+    except ParseError as err:
+        err.source = source
+        raise
 
 
 def _load(parse: Callable[[str, str], Any], path: str | Path) -> Any:
@@ -72,86 +80,93 @@ def _load(parse: Callable[[str, str], Any], path: str | Path) -> Any:
     return parse(text, source)
 
 
-def _as_list(node: Any, where: str, source: str | None, count: int | None = None, per: str = "") -> list:
+def _located(where: str | None, check: Callable[..., Any], *args: Any) -> Any:
+    """``check(*args)``, with an error of this package made a :class:`ParseError` at ``where``."""
+    try:
+        return check(*args)
+    except CircularFuzzyError as err:
+        raise ParseError(str(err), location=where) from err
+
+
+def _as_list(node: Any, where: str, count: int | None = None, per: str = "") -> list:
     """``node`` as a list, of ``count`` items, one per ``per``, if ``count`` is given."""
     if not isinstance(node, list):
-        raise ParseError(f"expected a list, got {type(node).__name__}", location=where, source=source)
+        raise ParseError(f"expected a list, got {type(node).__name__}", location=where)
     if count is not None and len(node) != count:
-        message = f"expected {count} items, one per {per}, got {len(node)}"
-        raise ParseError(message, location=where, source=source)
+        raise ParseError(f"expected {count} items, one per {per}, got {len(node)}", location=where)
     return node
 
 
-def _as_label(node: Any, where: str, source: str | None) -> str:
-    """``node`` as a label (see :func:`~cpfs.values._label`), or a located :class:`ParseError`."""
-    try:
-        return _label(node)
-    except CircularFuzzyError as e:
-        raise ParseError(str(e), location=where, source=source) from e
+def _known_keys(data: dict, keys: tuple[str, ...], where: str = "") -> None:
+    """A :class:`ParseError` at the first key of ``data`` not in ``keys``, located
+    as ``where`` followed by the key."""
+    for key in data:
+        if key not in keys:
+            raise ParseError(f"unknown key; expected one of {', '.join(keys)}", location=f"{where}{key}")
 
 
-def _as_pair(node: Any, where: Callable[[], str], source: str | None) -> list | tuple:
+def _as_label(node: Any, where: str) -> str:
+    """``node`` as a label: a JSON string that :func:`~cpfs.values._label` accepts."""
+    if not isinstance(node, str):
+        raise ParseError(f"expected a string, got {type(node).__name__}", location=where)
+    return _located(where, _label, node)
+
+
+def _as_pair(node: Any, where: Callable[[], str]) -> list | tuple:
     """The floats ``mu, nu`` of a ``[mu, nu]`` cell of a point value; ``where()``
     names the cell in an error."""
     # A pair of exact floats skips the list and number checks: float(x) is x.
     if type(node) is list and len(node) == 2 and type(node[0]) is float and type(node[1]) is float:
         pair = node
     else:
-        items = _as_list(node, where(), source)
+        items = _as_list(node, where())
         if len(items) != 2:
-            raise ParseError(
-                f"expected a [mu, nu] pair, got {len(items)} items", location=where(), source=source
-            )
+            raise ParseError(f"expected a [mu, nu] pair, got {len(items)} items", location=where())
         for k, x in enumerate(items):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ParseError(
-                    f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]", source=source
-                )
+                raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]")
         try:
             pair = float(items[0]), float(items[1])
         except OverflowError as err:  # an integer beyond the float range
-            raise ParseError(str(err), location=where(), source=source) from err
-    try:
+            raise ParseError(str(err), location=where()) from err
+    try:  # run per cell, so inline rather than through _located
         _require_point(*pair)
     except CircularFuzzyError as err:
-        raise ParseError(str(err), location=where(), source=source) from err
+        raise ParseError(str(err), location=where()) from err
     return pair
 
 
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
     """Parse and validate a problem document (JSON text or an already-loaded dict)."""
-    data = _decode(document, source)
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object", source=source)
+    with _decoded(document, source) as data:
+        if not isinstance(data, dict):
+            raise ParseError("top level must be an object")
 
-    for field in ("alternatives", "criteria", "polarity", "weights", "experts"):
-        if field not in data:
-            raise ParseError("missing required field", location=field, source=source)
+        for field in ("alternatives", "criteria", "polarity", "weights", "experts"):
+            if field not in data:
+                raise ParseError("missing required field", location=field)
 
-    alternatives, criteria = (
-        [_as_label(x, f"{key}[{i}]", source) for i, x in enumerate(_as_list(data[key], key, source))]
-        for key in ("alternatives", "criteria")
-    )
+        alternatives, criteria = (
+            [_as_label(x, f"{key}[{i}]") for i, x in enumerate(_as_list(data[key], key))]
+            for key in ("alternatives", "criteria")
+        )
 
-    polarity = _as_list(data["polarity"], "polarity", source)
-    weights = _as_list(data["weights"], "weights", source)
+        polarity = _as_list(data["polarity"], "polarity")
+        weights = _as_list(data["weights"], "weights")
 
-    # The cells go straight into the problem's columns; see DecisionProblem.
-    mu, nu = array("d"), array("d")
-    n, k = len(alternatives), len(criteria)
-    for e, matrix in enumerate(_as_list(data["experts"], "experts", source)):
-        for i, row in enumerate(_as_list(matrix, f"experts[{e}]", source, n, "alternative")):
-            for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", source, k, "criterion")):
-                x, y = _as_pair(cell, lambda: f"experts[{e}][{i}][{j}]", source)
-                mu.append(x)
-                nu.append(y)
+        # The cells go straight into the problem's columns; see DecisionProblem.
+        mu, nu = array("d"), array("d")
+        n, k = len(alternatives), len(criteria)
+        for e, matrix in enumerate(_as_list(data["experts"], "experts")):
+            for i, row in enumerate(_as_list(matrix, f"experts[{e}]", n, "alternative")):
+                for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", k, "criterion")):
+                    x, y = _as_pair(cell, lambda: f"experts[{e}][{i}][{j}]")
+                    mu.append(x)
+                    nu.append(y)
 
-    # The problem's own checks cover polarity and weights; their messages name
-    # the offending item (``polarity[j]``, ``weights[i]``).
-    try:
-        return DecisionProblem._of_columns(alternatives, criteria, polarity, weights, mu, nu)
-    except CircularFuzzyError as err:
-        raise ParseError(str(err), source=source) from err
+        # The problem's own checks cover polarity and weights; their messages name
+        # the offending item (``polarity[j]``, ``weights[i]``).
+        return _located(None, DecisionProblem._of_columns, alternatives, criteria, polarity, weights, mu, nu)
 
 
 def load_problem(path: str | Path) -> DecisionProblem:
@@ -178,40 +193,36 @@ def dump_problem(problem: DecisionProblem) -> str:
 
 def parse_collections(document: str | dict, source: str | None = None) -> list[tuple[str, list[PFV]]]:
     """Parse a collections document into ``(label, point values)`` rows."""
-    data = _decode(document, source)
-    if not isinstance(data, dict) or "elements" not in data:
-        raise ParseError("top level must be an object with an 'elements' field", source=source)
+    with _decoded(document, source) as data:
+        if not isinstance(data, dict) or "elements" not in data:
+            raise ParseError("top level must be an object with an 'elements' field")
+        _known_keys(data, ("elements",))
 
-    out: list[tuple[str, list[PFV]]] = []
-    for i, element in enumerate(_as_list(data["elements"], "elements", source)):
-        where = f"elements[{i}]"
-        if not isinstance(element, dict) or "values" not in element:
-            raise ParseError("expected an object with a 'values' field", location=where, source=source)
-        label = _as_label(element.get("label", f"x{i + 1}"), f"{where}.label", source)
-        values = [PFV(*_as_pair(cell, lambda: f"{where}.values[{j}]", source))
-                  for j, cell in enumerate(_as_list(element["values"], f"{where}.values", source))]
-        if not values:
-            raise ParseError("collection must be non-empty", location=f"{where}.values", source=source)
-        out.append((label, values))
-    return out
+        out: list[tuple[str, list[PFV]]] = []
+        for i, element in enumerate(_as_list(data["elements"], "elements")):
+            where = f"elements[{i}]"
+            if not isinstance(element, dict) or "values" not in element:
+                raise ParseError("expected an object with a 'values' field", location=where)
+            _known_keys(element, ("label", "values"), f"{where}.")
+            label = _as_label(element.get("label", f"x{i + 1}"), f"{where}.label")
+            values = [PFV(*_as_pair(cell, lambda: f"{where}.values[{j}]"))
+                      for j, cell in enumerate(_as_list(element["values"], f"{where}.values"))]
+            if not values:
+                raise ParseError("collection must be non-empty", location=f"{where}.values")
+            out.append((label, values))
+        return out
 
 
 def load_collections(path: str | Path) -> list[tuple[str, list[PFV]]]:
     return _load(parse_collections, path)
 
 
-def _as_digits(node: Any, where: str, source: str | None) -> int:
+def _as_digits(node: Any, where: str) -> int:
     try:
         return require_precision(node)
     except DomainError:
-        raise ParseError(
-            f"expected a non-negative integer at most {MAX_PRECISION}, got {_shown(node)}",
-            location=where,
-            source=source,
-        ) from None
-
-
-_CONFIG_KEYS = ("operator", "precision", "aggregate_precision")
+        message = f"expected a non-negative integer at most {MAX_PRECISION}, got {_shown(node)}"
+        raise ParseError(message, location=where) from None
 
 
 def parse_config(document: str | dict, source: str | None = None) -> dict:
@@ -223,29 +234,21 @@ def parse_config(document: str | dict, source: str | None = None) -> dict:
     integer or ``null``.  Returns the keys the document sets, with their values
     as given (``"q"`` stays ``"q"``); any other key is an error.
     """
-    data = _decode(document, source)
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object", source=source)
-    for key in data:
-        if key not in _CONFIG_KEYS:
-            raise ParseError(
-                f"unknown key; expected one of {', '.join(_CONFIG_KEYS)}", location=key, source=source
-            )
-    config = {}
-    if "operator" in data:
-        try:
-            _operator_name(data["operator"])
-        except UnknownOperator as err:
-            raise ParseError(str(err), location="operator", source=source) from err
-        config["operator"] = data["operator"]
-    if "precision" in data:
-        config["precision"] = _as_digits(data["precision"], "precision", source)
-    if "aggregate_precision" in data:
-        digits = data["aggregate_precision"]
-        config["aggregate_precision"] = (
-            None if digits is None else _as_digits(digits, "aggregate_precision", source)
-        )
-    return config
+    with _decoded(document, source) as data:
+        if not isinstance(data, dict):
+            raise ParseError("top level must be an object")
+        _known_keys(data, ("operator", "precision", "aggregate_precision"))
+        config = {}
+        if "operator" in data:
+            _located("operator", _operator_name, data["operator"])
+            config["operator"] = data["operator"]
+        if "precision" in data:
+            config["precision"] = _as_digits(data["precision"], "precision")
+        if "aggregate_precision" in data:
+            digits = data["aggregate_precision"]
+            config["aggregate_precision"] = (None if digits is None
+                                             else _as_digits(digits, "aggregate_precision"))
+        return config
 
 
 def load_config(path: str | Path) -> dict:

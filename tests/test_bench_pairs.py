@@ -47,7 +47,8 @@ def test_summarize_counts_wins_by_each_metrics_direction(bench_pairs):
         {"workload": "w", "parent": side(0, t=11.0, rate=5.0), "change": side(2, t=11.0, rate=7.0)},
         {"workload": "v", "parent": side(0, t=1.0, rate=1.0), "change": side(0, t=2.0, rate=1.0)},
     ]
-    metrics = [{"name": "t", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    metrics = [{"name": "t", "better": "lower", "bound": 0.25},
+               {"name": "rate", "better": "higher", "bound": 0.25}]
     summary = bench_pairs.summarize(pairs, metrics)
     assert sorted(summary) == ["v", "w"]
     w = summary["w"]
@@ -61,6 +62,37 @@ def test_summarize_counts_wins_by_each_metrics_direction(bench_pairs):
     # One pair: every quartile is its value.
     assert summary["v"]["t"]["parent_quartiles"] == [1.0, 1.0, 1.0]
     assert summary["v"]["t"]["wins"] == 0
+
+
+def verdict(bench_pairs, parent, change, better):
+    """The no-regression verdict of one metric ``m``, bound 25%, over pairs of these values."""
+    pairs = [{"workload": "w", "parent": side(0, m=p), "change": side(0, m=c)}
+             for p, c in zip(parent, change)]
+    entry = bench_pairs.summarize(pairs, [{"name": "m", "better": better, "bound": 0.25}])["w"]["m"]
+    return entry["relative_change"], entry["regressed"], entry["unresolved"]
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    # Medians 10 -> 12: 20% worse, within the 25% bound; parent IQR 10% of its median.
+    ([9.5, 10.0, 10.5], [11.5, 12.0, 12.5], "lower", (0.2, False, False)),
+    # Medians 10 -> 13: 30% worse.
+    ([9.5, 10.0, 10.5], [12.5, 13.0, 13.5], "lower", (0.3, True, False)),
+    # A rate 10 -> 13 is a gain; 10 -> 7 is a 30% loss.
+    ([9.5, 10.0, 10.5], [12.5, 13.0, 13.5], "higher", (0.3, False, False)),
+    ([9.5, 10.0, 10.5], [6.5, 7.0, 7.5], "higher", (-0.3, True, False)),
+    # Parent quartiles 7.5 and 13.5: IQR 60% of the median 10, wider than the bound.
+    ([7.5, 10.0, 13.5], [9.0, 10.0, 11.0], "lower", (0.0, False, True)),
+    # As wide, but every change run beats every parent run: resolved.
+    ([7.5, 10.0, 13.5], [5.0, 5.5, 6.0], "lower", (-0.45, False, False)),
+    ([7.5, 10.0, 13.5], [14.0, 15.0, 16.0], "higher", (0.5, False, False)),
+    # A tie between the best parent run and the worst change run is no clean win.
+    ([7.5, 10.0, 13.5], [5.0, 6.0, 7.5], "lower", (-0.4, False, True)),
+], ids=["within bound", "regressed", "higher gain", "higher regressed", "unresolved",
+        "clean win", "higher clean win", "tie at the edge"])
+def test_summarize_gives_the_no_regression_verdict(bench_pairs, parent, change, better, want):
+    relative_change, regressed, unresolved = verdict(bench_pairs, parent, change, better)
+    assert relative_change == pytest.approx(want[0])
+    assert (regressed, unresolved) == want[1:]
 
 
 @pytest.mark.parametrize("pairs", ["0", "-3"])

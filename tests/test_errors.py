@@ -10,6 +10,7 @@ from cpfs import (
     DecisionProblem,
     DomainError,
     GeneratorPair,
+    ParseError,
     UnknownGenerator,
     UnknownOperator,
     WeightVector,
@@ -77,3 +78,22 @@ def test_a_long_rejected_value_is_echoed_cut_short(call):
 def test_a_lookup_error_prints_its_message_unquoted(error):
     # KeyError's own __str__ would print the repr of the message.
     assert str(error("unknown name 'x'")) == "unknown name 'x'"
+
+
+@pytest.mark.parametrize("location, source, text", [
+    (None, None, "bad cell"),
+    ("experts[0][1][2]", None, "experts[0][1][2]: bad cell"),
+    (None, "p.json", "p.json: bad cell"),
+    ("experts[0][1][2]", "p.json", "p.json: experts[0][1][2]: bad cell"),
+], ids=["bare", "location", "source", "both"])
+def test_a_parse_error_prints_its_source_and_location_before_its_message(location, source, text):
+    err = ParseError("bad cell", location=location, source=source)
+    assert str(err) == text
+    assert (err.args, err.location, err.source) == (("bad cell",), location, source)
+
+
+def test_a_located_lookup_error_prints_its_location_and_message_unquoted():
+    err = UnknownOperator("unknown name 'x'")
+    assert err.location is None
+    err.location = "operator"
+    assert str(err) == "operator: unknown name 'x'"

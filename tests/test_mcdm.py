@@ -254,6 +254,28 @@ class TestSolve:
         with pytest.raises(DegenerateCenter, match="alternative 'A2'"):
             solve(small_problem(cells), operator)
 
+    def test_a_solve_error_is_the_same_error_located_at_its_alternative(self):
+        cells = [[(0.0, 0.0), (0.0, 0.0)], [(0.5, 0.5), (0.6, 0.4)]]
+        with pytest.raises(DegenerateCenter) as raised:
+            solve(small_problem(cells), "cpwa_q")
+        with pytest.raises(DegenerateCenter) as direct:  # A1 aggregates to <0, 0; 0>
+            csm_to_ideal(CPFV(0.0, 0.0, 0.0))
+        err = raised.value
+        assert type(err) is DegenerateCenter and err.args == direct.value.args
+        assert err.location == "alternative 'A1'"
+        assert str(err) == f"alternative 'A1': {direct.value}"
+
+    def test_a_location_the_error_already_has_follows_the_alternative(self):
+        def operator(values, weights):
+            err = DomainError("no aggregate")
+            err.location = "row"
+            raise err
+
+        with pytest.raises(DomainError) as raised:
+            solve(small_problem([[(0.5, 0.5)] * 2] * 2), operator)
+        assert raised.value.location == "alternative 'A1': row"
+        assert str(raised.value) == "alternative 'A1': row: no aggregate"
+
     @pytest.mark.parametrize("operator", ["cpwa_q", "cpwa_p"])
     def test_rounding_off_the_disc_names_the_alternative(self, operator, monkeypatch):
         # A285 aggregates to about (0.84751, 0.52514), on the unit circle;

@@ -10,6 +10,7 @@ from cpfs.cli import main
 from helpers import perfbench_gen
 from cpfs.serialize import (
     dump_problem,
+    load_config,
     load_problem,
     parse_collections,
     parse_config,
@@ -17,6 +18,10 @@ from cpfs.serialize import (
     problem_to_dict,
     write_solve_tables,
 )
+
+
+#: JSON values that are not strings, so no document may use them as labels.
+NON_STRING_LABELS = [None, True, 1, 1.5, [1], {"a": 1}]
 
 
 def minimal_doc():
@@ -152,6 +157,16 @@ class TestParseProblem:
         assert re.search(location + r".*'[xw]{15}\.\.\.$", err.strip())
         assert len(err.encode()) - len(str(bad)) < 300
 
+    @pytest.mark.parametrize("key", ["alternatives", "criteria"])
+    @pytest.mark.parametrize("label", NON_STRING_LABELS, ids=repr)
+    def test_a_label_that_is_not_a_string_is_located(self, key, label):
+        doc = minimal_doc()
+        doc[key][1] = label
+        message = rf"^{key}\[1\]: expected a string, got {type(label).__name__}$"
+        for form in (doc, json.dumps(doc)):
+            with pytest.raises(ParseError, match=message):
+                parse_problem(form)
+
     def test_integer_literal_over_the_digit_limit(self):
         text = json.dumps(minimal_doc()).replace("0.6,", "1" * 5000 + ",", 1)
         with pytest.raises(ParseError, match="invalid JSON"):
@@ -178,6 +193,29 @@ class TestParseCollections:
         with pytest.raises(ParseError, match=r"elements\[0\]\.label"):
             parse_collections(json.dumps({"elements": [{"label": "\ud800", "values": [[0.5, 0.5]]}]}))
 
+    @pytest.mark.parametrize("label", NON_STRING_LABELS, ids=repr)
+    def test_a_label_that_is_not_a_string_is_located(self, label):
+        message = rf"^elements\[0\]\.label: expected a string, got {type(label).__name__}$"
+        with pytest.raises(ParseError, match=message):
+            parse_collections({"elements": [{"label": label, "values": [[0.5, 0.5]]}]})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"elements": [{"lable": "A", "values": [[0.1, 0.2]]}]},
+         "elements[0].lable: unknown key; expected one of label, values"),
+        ({"elements": [{"values": [[0.1, 0.2]]}, {"values": [[0.1, 0.2]], "note": ""}]},
+         "elements[1].note: unknown key; expected one of label, values"),
+        ({"elements": [{"values": [[0.1, 0.2]]}], "label": "A"},
+         "label: unknown key; expected one of elements"),
+    ], ids=["misspelt label", "second element", "top level"])
+    def test_an_unknown_key_is_located(self, tmp_path, capsys, doc, message):
+        with pytest.raises(ParseError) as info:
+            parse_collections(json.dumps(doc), source="c.json")
+        assert str(info.value) == f"c.json: {message}"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fuse", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestParseConfig:
     def test_keys_present_are_returned(self):
@@ -193,6 +231,28 @@ class TestParseConfig:
         for bad in ("bogus", "Q", "cpwa", ["cpwa_q"], 1):
             with pytest.raises(ParseError, match=r"^cfg\.json: operator: unknown operator"):
                 parse_config({"operator": bad}, source="cfg.json")
+
+
+@pytest.mark.parametrize("load, text, location, message", [
+    (load_problem, "{", None, "invalid JSON: Expecting property name enclosed in double quotes"),
+    (load_problem, json.dumps({**minimal_doc(), "criteria": ["C1", None]}),
+     "criteria[1]", "expected a string, got NoneType"),
+    (load_problem, json.dumps(minimal_doc()).replace("[0.6, 0.4]]", "[0.9, 0.9]]", 1),
+     "experts[0][0][1]", "mu**2 + nu**2 must not exceed 1"),
+    (load_problem, json.dumps({**minimal_doc(), "weights": [0.6, 0.3]}), None, "weights must sum to 1"),
+    (load_config, '{"operator": "cpwa_z"}', "operator", "unknown operator 'cpwa_z'"),
+    (load_config, '{"precision": -1}', "precision", "expected a non-negative integer"),
+    (load_config, '{"note": 1}', "note", "unknown key"),
+], ids=["json", "label", "cell", "weights", "operator", "precision", "key"])
+def test_a_loaded_document_error_carries_its_file_and_place(tmp_path, load, text, location, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    err = info.value
+    assert (err.source, err.location) == (str(path), location)
+    assert err.args[0].startswith(message)  # the message alone, without the file or place
+    assert str(err) == ": ".join(x for x in (str(path), location, err.args[0]) if x is not None)
 
 
 class TestWriteSolveTables:

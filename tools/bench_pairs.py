@@ -14,7 +14,12 @@ The output file holds every run record and result, one pair to a line,
 and a summary per workload: for each end-to-end metric of
 ``BENCHMARK.json``, both sides' values, medians and quartiles, the parent's
 interquartile range, and ``wins``, the number of pairs in which the change
-was better.  ``src_lines`` holds each side's line count of ``src/cpfs/*.py``.
+was better.  It also holds the no-regression verdict: ``relative_change``,
+the change of the medians relative to the parent's; ``regressed``, true if
+that change is worse by more than the metric's ``bound``; and ``unresolved``,
+true if the parent's interquartile range, relative to its median, is wider
+than the bound while not every change run beats every parent run.
+``src_lines`` holds each side's line count of ``src/cpfs/*.py``.
 """
 
 from __future__ import annotations
@@ -71,19 +76,27 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         side = {s: [r[s]["result"] for r in runs] for s in ("parent", "change")}
         entry = {"failed": {s: sum(r["failed"] for r in side[s]) for s in side}}
         for metric in metrics:
-            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            name, bound, sign = metric["name"], metric["bound"], 1 if metric["better"] == "lower" else -1
             values = {s: [r["metrics"][name]["value"] for r in side[s]] for s in side}
             q = {s: quartiles(values[s]) for s in side}
+            median = {s: statistics.median(values[s]) for s in side}
+            iqr = q["parent"][2] - q["parent"][0]
+            relative_change = (median["change"] - median["parent"]) / median["parent"]
+            # Signed so that lower is better: a clean win puts every change run below every parent run.
+            clean_win = max(sign * c for c in values["change"]) < min(sign * p for p in values["parent"])
             entry[name] = {
                 "parent": values["parent"],
                 "change": values["change"],
-                "parent_median": statistics.median(values["parent"]),
-                "change_median": statistics.median(values["change"]),
+                "parent_median": median["parent"],
+                "change_median": median["change"],
                 "parent_quartiles": q["parent"],
                 "change_quartiles": q["change"],
-                "parent_iqr": q["parent"][2] - q["parent"][0],
+                "parent_iqr": iqr,
                 "better": metric["better"],
                 "wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
+                "relative_change": relative_change,
+                "regressed": sign * relative_change > bound,
+                "unresolved": iqr / median["parent"] > bound and not clean_win,
             }
         summary[workload] = entry
     return summary
