@@ -261,7 +261,7 @@ def solve(
     return PipelineResult(
         problem=problem,
         normalized=normalized,
-        circular_matrix=tuple(tuple(row) for row in circular),
+        circular_matrix=circular,
         aggregated=tuple(aggregated),
         scored=tuple(scored),
         similarities=tuple(similarities),

@@ -168,13 +168,20 @@ class PFV:
         return PFV(self.nu, self.mu)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CPFV:
     """The circle ``<mu, nu; r>``: a point-value center ``(mu, nu)`` and a radius in ``[0, 1]``."""
 
     mu: float
     nu: float
     r: float
+
+    def __init__(self, mu: float, nu: float, r: float) -> None:
+        # The slots' own setters; a generated frozen __init__'s object.__setattr__ costs twice as much.
+        _set_mu(self, mu)
+        _set_nu(self, nu)
+        _set_r(self, r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _point(self)
@@ -193,6 +200,8 @@ class CPFV:
         """Swap the center's membership and non-membership; radius unchanged."""
         return CPFV(self.nu, self.mu, self.r)
 
+
+_set_mu, _set_nu, _set_r = CPFV.mu.__set__, CPFV.nu.__set__, CPFV.r.__set__
 
 #: The validating constructors under their functional names: they raise
 #: OutOfRange, ConstraintViolation or RadiusOutOfRange.

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from operator import mul
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -41,8 +42,10 @@ __all__ = [
     "assert_cpfv_close",
     "all_pairs_ranking",
     "perfbench_gen",
+    "point_values",
     "problems",
     "bits",
+    "reference_fuse",
     "reference_normalize",
     "reference_cell",
     "reference_solve_tables",
@@ -132,7 +135,7 @@ def perfbench_gen(monkeypatch):
 # on the unit circle and the smallest subnormal.
 COMPONENTS = [0.0, -0.0, 0.25, 0.5, 0.6, 0.8, 1.0, 5e-324]
 _component = st.one_of(st.sampled_from(COMPONENTS), st.floats(0.0, 1.0))
-_cells = (
+point_values = (
     st.tuples(_component, _component)
     .filter(lambda p: p[0] * p[0] + p[1] * p[1] <= 1.0)
     .map(lambda p: PFV(*p))
@@ -140,10 +143,10 @@ _cells = (
 
 
 @st.composite
-def problems(draw):
-    """Small problems: one to three experts, mixed polarity, repeated cells."""
-    k, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    row = st.lists(_cells, min_size=m, max_size=m).map(tuple)
+def problems(draw, max_experts: int = 3):
+    """Small problems: one to ``max_experts`` experts, mixed polarity, repeated cells."""
+    k, n, m = draw(st.integers(1, max_experts)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(point_values, min_size=m, max_size=m).map(tuple)
     matrix = st.lists(row, min_size=n, max_size=n).map(tuple)
     return DecisionProblem(
         alternatives=tuple(f"A{i}" for i in range(n)),
@@ -159,6 +162,20 @@ def bits(problem) -> list[tuple[str, str]]:
     return [
         (c.mu.hex(), c.nu.hex()) for matrix in problem.experts for row in matrix for c in row
     ]
+
+
+def reference_fuse(points) -> CPFV:
+    """The fused value of a non-empty collection of point values, one cell at a time.
+
+    The per-cell formula ``fusion`` used before its column kernel; kept as
+    the reference the kernel must equal bit for bit.
+    """
+    mus, nus = [p.mu for p in points], [p.nu for p in points]
+    k = len(mus)
+    mu = math.sqrt(math.fsum(map(mul, mus, mus)) / k)
+    nu = math.sqrt(math.fsum(map(mul, nus, nus)) / k)
+    r = max(map(math.hypot, [mu - x for x in mus], [nu - y for y in nus]))
+    return CPFV(mu, nu, min(r, 1.0))
 
 
 def reference_normalize(problem):

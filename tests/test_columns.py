@@ -2,17 +2,17 @@
 
 ``DecisionProblem`` keeps its cells as the columns ``mu`` and ``nu``, and
 ``problem.experts`` builds the nested point values again.  Fusing from the
-columns must equal ``fuse`` over those values, and a problem must read back
-from its document, bit for bit (compared as ``float.hex``, so the sign of
-``-0.0`` counts).  ``normalize`` is checked against its reference in
+columns must equal the per-cell reference fuse over those values, and a
+problem must read back from its document, bit for bit (compared as
+``float.hex``, so the sign of ``-0.0`` counts).  ``normalize`` is checked against its reference in
 ``test_sharing``.
 """
 
 from hypothesis import example, given, settings
 
-from cpfs import PFV, DecisionProblem, WeightVector, build_circular_matrix, fuse, normalize
+from cpfs import PFV, DecisionProblem, WeightVector, build_circular_matrix, normalize
 from cpfs.serialize import dump_problem, parse_problem, problem_to_dict
-from helpers import bits, problems
+from helpers import bits, problems, reference_fuse
 
 # Both zeros, the smallest subnormal and the two boundary cells, under mixed
 # polarity; one expert, then two.
@@ -39,7 +39,7 @@ def with_edges(test):
 def test_fusing_the_columns_equals_fusing_each_cell(problem):
     experts = problem.experts
     _, n, k = problem.shape
-    want = [[fuse([matrix[i][j] for matrix in experts]) for j in range(k)] for i in range(n)]
+    want = [[reference_fuse([matrix[i][j] for matrix in experts]) for j in range(k)] for i in range(n)]
     assert hexed(build_circular_matrix(problem)) == hexed(want)
 
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cpfs import (
     PFV,
@@ -12,7 +13,7 @@ from cpfs import (
     fuse,
     round_half_up,
 )
-from helpers import make_rng, sample_pfv
+from helpers import make_rng, point_values, problems, reference_fuse, sample_pfv
 
 
 def pfvs(*pairs):
@@ -130,3 +131,44 @@ class TestBuildCircularMatrix:
         bad = [pfvs((0.4, 0.8), (0.8, 0.6)), pfvs((0.7, 0.5))]
         with pytest.raises(DimensionMismatch):
             build_circular_matrix(problem_of(bad))
+
+
+# The column kernel against the per-cell formula it replaced, compared as
+# ``float.hex`` so the sign of ``-0.0`` counts.
+
+
+def hexed(v):
+    return tuple(x.hex() for x in v.as_tuple())
+
+
+ONE_EXPERT = pfvs((0.37, 0.81))
+CLAMPED = pfvs(*[(0.0, 1.0)] * 9, (1.0, 0.0))  # the radius 1.17 is clamped to 1
+TINY = pfvs((-0.0, 5e-324), (5e-324, -0.0), (0.0, 0.0))
+
+
+def test_the_clamp_example_is_clamped():
+    out = fuse(CLAMPED)
+    assert out.r == 1.0 and math.hypot(out.mu - 1.0, out.nu) > 1.0
+
+
+@settings(max_examples=300)
+@example(ONE_EXPERT)
+@example(CLAMPED)
+@example(TINY)
+@given(st.lists(point_values, min_size=1, max_size=12))
+def test_fuse_equals_the_per_cell_formula(points):
+    assert hexed(fuse(points)) == hexed(reference_fuse(points))
+
+
+@settings(max_examples=200)
+@example(problem_of([ONE_EXPERT]))
+@example(problem_of(*([[p, q]] for p, q in zip(CLAMPED, reversed(CLAMPED)))))
+@example(problem_of(*([[p], [q]] for p, q in zip(TINY, reversed(TINY)))))
+@given(problems(max_experts=12))
+def test_build_circular_matrix_equals_the_per_cell_formula(problem):
+    experts = problem.experts
+    out = build_circular_matrix(problem)
+    assert type(out) is tuple and all(type(row) is tuple for row in out)
+    want = [[hexed(reference_fuse([matrix[i][j] for matrix in experts])) for j in range(len(row))]
+            for i, row in enumerate(experts[0])]
+    assert [[hexed(v) for v in row] for row in out] == want

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +88,50 @@ class TestValidateCpfv:
     def test_center_errors_still_raised(self):
         with pytest.raises(ConstraintViolation):
             validate_cpfv(0.9, 0.9, 0.5)
+
+
+class TestCpfvInit:
+    """``CPFV``'s hand-written ``__init__`` keeps the dataclass behaviour."""
+
+    def test_calls_the_class_post_init_once(self, monkeypatch):
+        calls = []
+        post_init = vars(CPFV)["__post_init__"]
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CPFV, "__post_init__", counting)
+        v = CPFV(0.5, 0.5, 0.25)
+        assert len(calls) == 1 and calls[0] is v
+
+    def test_keywords_replace_pickle_eq_and_hash(self):
+        v = CPFV(r=0.25, nu=0, mu=0.5)
+        assert v.as_tuple() == (0.5, 0.0, 0.25) and type(v.nu) is float
+        w = dataclasses.replace(v, r=1)
+        assert w == CPFV(0.5, 0.0, 1.0) and type(w.r) is float
+        with pytest.raises(RadiusOutOfRange):
+            dataclasses.replace(v, r=2.0)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(v, protocol))
+            assert again == v and hash(again) == hash(v) and again is not v
+        assert hash(CPFV(0.5, 0.0, 0.25)) == hash(v) and v != w
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.mu = 0.1
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((True, 0.0, 0.0), OutOfRange, "mu must be a real number, got True"),
+        ((0.0, False, 0.0), OutOfRange, "nu must be a real number, got False"),
+        ((0.0, 0.0, True), RadiusOutOfRange, "radius must be a real number, got True"),
+        ((math.nan, 0.0, 0.0), OutOfRange, "mu must be finite, got nan"),
+        ((0.0, 0.0, math.nan), RadiusOutOfRange, "radius must be finite, got nan"),
+        ((0.5, 0.5, 1.5), RadiusOutOfRange, "radius must lie in [0, 1], got 1.5"),
+        ((0.5, 0.5, -0.25), RadiusOutOfRange, "radius must lie in [0, 1], got -0.25"),
+    ])
+    def test_errors_keep_their_types_and_messages(self, args, error, message):
+        with pytest.raises(error) as info:
+            CPFV(*args)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class FloatSub(float):
