@@ -49,7 +49,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyInput, InvalidWeights, LengthMismatch, UnknownOperator
 from .generators import Generator, GeneratorPair, algebraic_pair
-from .values import CPFV, _require_component, _require_count, _shown
+from .values import CPFV, CPFVRow, _require_component, _require_count, _shown
 
 __all__ = [
     "WEIGHT_SUM_TOL",
@@ -72,15 +72,19 @@ class WeightVector:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(
-            _require_component(w, f"weights[{i}]", InvalidWeights) for i, w in enumerate(self.weights)
-        )
+        ws = []
+        for i, w in enumerate(self.weights):
+            try:
+                ws.append(_require_component(w, "weight", InvalidWeights))
+            except InvalidWeights as err:
+                err.location = f"weights[{i}]"
+                raise
         if not ws:
-            raise InvalidWeights("weights must be non-empty")
+            raise InvalidWeights("must be non-empty", location="weights")
         total = math.fsum(ws)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidWeights(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        object.__setattr__(self, "weights", ws)
+            raise InvalidWeights(f"must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}", location="weights")
+        object.__setattr__(self, "weights", tuple(ws))
 
     @classmethod
     def of(cls, *weights: float) -> "WeightVector":
@@ -122,12 +126,10 @@ def _generator_sum(
     values: Sequence[CPFV], ws: Sequence[float], mu_gen: Generator, nu_gen: Generator, r_gen: Generator
 ) -> CPFV:
     """``< mu_gen_inv(sum w_i mu_gen(mu_i)), ...; r_gen_inv(sum w_i r_gen(r_i)) >``: the one
-    generator formula behind the weighted operators, sums and scalar multiples."""
-    return CPFV(
-        _weighted(mu_gen, [v.mu for v in values], ws),
-        _weighted(nu_gen, [v.nu for v in values], ws),
-        _weighted(r_gen, [v.r for v in values], ws),
-    )
+    generator formula behind the weighted operators, sums and scalar multiples.  It reads
+    the components of a :class:`~cpfs.values.CPFVRow`, and makes any other values one."""
+    row = values if type(values) is CPFVRow else CPFVRow.of(values)
+    return CPFV(_weighted(mu_gen, row.mu, ws), _weighted(nu_gen, row.nu, ws), _weighted(r_gen, row.r, ws))
 
 
 def cpwa(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = None) -> CPFV:

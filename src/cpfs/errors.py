@@ -33,7 +33,9 @@ class CircularFuzzyError(Exception):
     ``str()`` is ``[source: ][location: ]message``: ``location`` names where the
     error arose and only a :class:`ParseError` has a ``source``; each may be ``None``."""
 
-    location: str | None = None
+    def __init__(self, *args: object, location: str | None = None) -> None:
+        super().__init__(*args)
+        self.location = location
 
     def __str__(self) -> str:  # not KeyError's, which would quote the message
         parts = (getattr(self, "source", None), self.location, Exception.__str__(self))
@@ -100,6 +102,5 @@ class ParseError(CircularFuzzyError, ValueError):
     """
 
     def __init__(self, message: str, *, location: str | None = None, source: str | None = None):
-        super().__init__(message)
-        self.location = location
+        super().__init__(message, location=location)
         self.source = source

@@ -12,11 +12,13 @@ the mean of the inputs' quadratic sums.  Every input lies inside or on the
 resulting circle unless the clamp was active.
 
 One kernel, :func:`_fused_columns`, fuses whole columns (one per expert) in
-``map``/``zip`` passes, with no Python code per cell; :func:`fuse` gives it
-columns of one value.  Its bits equal the cell-by-cell formula's: a center
-is the correctly rounded ``math.fsum`` of the same squares, a radius the
-largest of the same ``math.hypot`` distances (pairwise ``max`` picks the
-same non-NaN float), and the clamp, a no-op below 1, runs only if needed.
+``map``/``zip`` passes, with no Python code per cell, and checks the fused
+columns in whole-column passes; :func:`fuse` gives it columns of one value.
+Its bits equal the cell-by-cell formula's: a center is the correctly rounded
+``math.fsum`` of the same squares, a radius the largest of the same
+``math.hypot`` distances (pairwise ``max`` picks the same non-NaN float), and
+the clamp, a no-op below 1, runs only if needed.  The fused matrix stays three
+columns, a :class:`CircularMatrix`, that build a ``CPFV`` only on access.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import math
 from functools import reduce
 from itertools import repeat
 from operator import mul, sub, truediv
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import EmptyInput
-from .values import CPFV, PFV
+from .values import CPFV, PFV, CPFVRow, _require_circles
 
 if TYPE_CHECKING:
     from .mcdm import DecisionProblem
@@ -36,21 +38,22 @@ if TYPE_CHECKING:
 __all__ = ["fuse", "build_circular_matrix"]
 
 
-def _quadratic_means(columns: Sequence[Sequence[float]]) -> list[float]:
+def _quadratic_means(columns: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """``sqrt(fsum(x**2 for x in cell) / len(columns))`` of each cell across the columns."""
     squares = zip(*[map(mul, c, c) for c in columns])
-    return list(map(math.sqrt, map(truediv, map(math.fsum, squares), repeat(len(columns)))))
+    return tuple(map(math.sqrt, map(truediv, map(math.fsum, squares), repeat(len(columns)))))
 
 
-def _fused_columns(mus: Sequence[Sequence[float]], nus: Sequence[Sequence[float]]) -> tuple[CPFV, ...]:
-    """The fused value of every cell ``c`` of the non-empty, equally long
-    per-expert columns: cell ``c`` fuses the points ``(mus[e][c], nus[e][c])``."""
+def _fused_columns(mus: Sequence[Sequence[float]], nus: Sequence[Sequence[float]]) -> CPFVRow:
+    """The fused cells of the non-empty, equally long per-expert columns, as columns, each
+    cell checked as a circular value: cell ``c`` fuses the points ``(mus[e][c], nus[e][c])``."""
     mu, nu = _quadratic_means(mus), _quadratic_means(nus)
     distances = [map(math.hypot, map(sub, mu, x), map(sub, nu, y)) for x, y in zip(mus, nus)]
-    r = list(reduce(lambda a, b: map(max, a, b), distances))
+    r = tuple(reduce(lambda a, b: map(max, a, b), distances))
     if max(r) > 1.0:  # min(x, 1.0) is x itself for every x <= 1, so it runs only when it clamps
-        r = list(map(min, r, repeat(1.0)))
-    return tuple(map(CPFV, mu, nu, r))
+        r = tuple(map(min, r, repeat(1.0)))
+    _require_circles(mu, nu, r)
+    return CPFVRow(mu, nu, r)
 
 
 def fuse(collection: Sequence[PFV]) -> CPFV:
@@ -60,11 +63,46 @@ def fuse(collection: Sequence[PFV]) -> CPFV:
     return _fused_columns([(p.mu,) for p in collection], [(p.nu,) for p in collection])[0]
 
 
-def build_circular_matrix(problem: DecisionProblem) -> tuple[tuple[CPFV, ...], ...]:
+class CircularMatrix(Sequence):
+    """The fused matrix: ``cells``, the float columns of every cell in alternative -> criterion
+    order (a :class:`~cpfs.values.CPFVRow`), in rows of ``criteria`` cells.  A read-only
+    sequence whose ``[i]`` builds row ``i``'s tuple of values, ``==`` the tuple of those tuples."""
+
+    __slots__ = ("cells", "criteria")
+
+    def __init__(self, cells: CPFVRow, criteria: int) -> None:
+        self.cells, self.criteria = cells, criteria
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[CPFV]]) -> "CircularMatrix":
+        return cls(CPFVRow.of([v for row in rows for v in row]), len(rows[0]) if rows else 1)
+
+    def rows(self) -> Iterator[CPFVRow]:
+        """Each alternative's row, as a view over slices of the columns."""
+        k = self.criteria
+        return (self.cells[c : c + k] for c in range(0, len(self.cells), k))
+
+    def __len__(self) -> int:
+        return len(self.cells) // self.criteria
+
+    def __getitem__(self, i: int | slice) -> tuple:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        c = range(0, len(self.cells), self.criteria)[i]  # an IndexError past either end
+        return tuple(self.cells[c : c + self.criteria])
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (CircularMatrix, tuple)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def build_circular_matrix(problem: DecisionProblem) -> CircularMatrix:
     """Fuse a problem's expert matrices cellwise.
 
     Returns the alternatives x criteria matrix of fused circular values, a
-    tuple of row tuples: cell ``(i, j)`` fuses every expert's evaluation of
+    :class:`CircularMatrix`: cell ``(i, j)`` fuses every expert's evaluation of
     alternative ``i`` under criterion ``j``.  Each expert's block of the
     problem's columns is read through a ``memoryview``, not copied.
     """
@@ -73,4 +111,4 @@ def build_circular_matrix(problem: DecisionProblem) -> tuple[tuple[CPFV, ...], .
     mu, nu = memoryview(problem.mu), memoryview(problem.nu)
     blocks = range(0, len(mu), step)
     cells = _fused_columns([mu[b : b + step] for b in blocks], [nu[b : b + step] for b in blocks])
-    return tuple(cells[i : i + n_crit] for i in range(0, step, n_crit))
+    return CircularMatrix(cells, n_crit)

@@ -32,7 +32,7 @@ from typing import Literal, Sequence
 
 from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
 from .errors import CircularFuzzyError, DimensionMismatch, DomainError, EmptyInput, LengthMismatch
-from .fusion import build_circular_matrix
+from .fusion import CircularMatrix, build_circular_matrix
 from .rounding import require_precision, round_half_up
 from .similarity import csm_to_ideal
 from .values import CPFV, PFV, _labels, _require_count, _shown
@@ -101,8 +101,8 @@ class DecisionProblem:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", _labels(self.alternatives, "alternative", DimensionMismatch))
-        object.__setattr__(self, "criteria", _labels(self.criteria, "criterion", DimensionMismatch))
+        for name in ("alternatives", "criteria"):
+            object.__setattr__(self, name, _labels(getattr(self, name), name, DimensionMismatch))
         object.__setattr__(self, "polarity", tuple(self.polarity))
         if not isinstance(self.weights, WeightVector):
             object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))
@@ -113,12 +113,14 @@ class DecisionProblem:
         if not self.mu:
             raise EmptyInput("need at least one expert matrix")
         if len(self.polarity) != len(self.criteria):
-            raise LengthMismatch(f"got {len(self.polarity)} polarities for {len(self.criteria)} criteria")
+            raise LengthMismatch(f"got {len(self.polarity)} for {len(self.criteria)} criteria",
+                                 location="polarity")
         for i, p in enumerate(self.polarity):
             if p not in ("benefit", "cost"):
-                raise DomainError(f"polarity[{i}] must be 'benefit' or 'cost', got {_shown(p)}")
+                raise DomainError(f"must be 'benefit' or 'cost', got {_shown(p)}", location=f"polarity[{i}]")
         if len(self.weights) != len(self.criteria):
-            raise LengthMismatch(f"got {len(self.weights)} weights for {len(self.criteria)} criteria")
+            raise LengthMismatch(f"got {len(self.weights)} for {len(self.criteria)} criteria",
+                                 location="weights")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -187,22 +189,27 @@ class Ranking:
 
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
-    """Everything the pipeline produced, for reporting."""
+    """Everything the pipeline produced, for reporting.  ``circular_matrix`` holds
+    float columns; rows of circular values given in its place are converted."""
 
     problem: DecisionProblem
     normalized: DecisionProblem
-    circular_matrix: tuple[tuple[CPFV, ...], ...]
+    circular_matrix: CircularMatrix
     aggregated: tuple[CPFV, ...]
     scored: tuple[CPFV, ...]
     similarities: tuple[float, ...]
     ranking: Ranking
     operator: str
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.circular_matrix, CircularMatrix):
+            object.__setattr__(self, "circular_matrix", CircularMatrix.of(self.circular_matrix))
+
     def fused_centers(self) -> tuple[tuple[PFV, ...], ...]:
-        return tuple(tuple(v.center for v in row) for row in self.circular_matrix)
+        return tuple(tuple(map(PFV, row.mu, row.nu)) for row in self.circular_matrix.rows())
 
     def fused_radii(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(v.r for v in row) for row in self.circular_matrix)
+        return tuple(tuple(row.r) for row in self.circular_matrix.rows())
 
 
 def normalize(problem: DecisionProblem) -> DecisionProblem:
@@ -244,7 +251,7 @@ def solve(
     normalized = normalize(problem)
     circular = build_circular_matrix(normalized)
     aggregated, scored, similarities = [], [], []
-    for label, row in zip(problem.alternatives, circular):
+    for label, row in zip(problem.alternatives, circular.rows()):
         try:
             v = op(row, problem.weights)
             aggregated.append(v)

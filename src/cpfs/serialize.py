@@ -81,11 +81,12 @@ def _load(parse: Callable[[str, str], Any], path: str | Path) -> Any:
 
 
 def _located(where: str | None, check: Callable[..., Any], *args: Any) -> Any:
-    """``check(*args)``, with an error of this package made a :class:`ParseError` at ``where``."""
+    """``check(*args)``, with an error of this package made a :class:`ParseError` at
+    ``where``, or at the error's own location if ``where`` is ``None``."""
     try:
         return check(*args)
     except CircularFuzzyError as err:
-        raise ParseError(str(err), location=where) from err
+        raise ParseError(Exception.__str__(err), location=where or err.location) from err
 
 
 def _as_list(node: Any, where: str, count: int | None = None, per: str = "") -> list:
@@ -164,8 +165,8 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
                     mu.append(x)
                     nu.append(y)
 
-        # The problem's own checks cover polarity and weights; their messages name
-        # the offending item (``polarity[j]``, ``weights[i]``).
+        # The problem's own checks cover labels, polarity and weights; their errors
+        # carry the offending item as their location (``polarity[j]``, ``weights``).
         return _located(None, DecisionProblem._of_columns, alternatives, criteria, polarity, weights, mu, nu)
 
 
@@ -316,8 +317,8 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
         for (e, alt), c in zip(product(range(1, m + 1), alts), range(0, len(mu), k))
     ))
     fused = [
-        (alt, [(crit, fmt[v.mu], fmt[v.nu], fmt[v.r]) for crit, v in zip(crits, row)])
-        for alt, row in zip(alts, result.circular_matrix)
+        (alt, list(zip(crits, *(map(fmt.__getitem__, c) for c in (row.mu, row.nu, row.r)))))
+        for alt, row in zip(alts, result.circular_matrix.rows())
     ]
     emit("fused_centers", "alternative,criterion,mu,nu", (
         "".join([f"{alt},{crit},{mu},{nu}\n" for crit, mu, nu, _ in row]) for alt, row in fused
@@ -396,7 +397,7 @@ def result_to_dict(result: PipelineResult) -> dict:
         "criteria": list(problem.criteria),
         "weights": list(problem.weights),
         "circular_matrix": [
-            [[v.mu, v.nu, v.r] for v in row] for row in result.circular_matrix
+            list(map(list, zip(row.mu, row.nu, row.r))) for row in result.circular_matrix.rows()
         ],
         "aggregated": [[v.mu, v.nu, v.r] for v in result.aggregated],
         "scored": [[v.mu, v.nu, v.r] for v in result.scored],

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Literal
 
 from .errors import (
@@ -81,13 +83,13 @@ def _label(value: object) -> str:
     return label
 
 
-def _labels(values: Iterable[object], what: str, error: type[CircularFuzzyError]) -> tuple[str, ...]:
-    """Each value as a label (see :func:`_label`), or ``error`` naming the first repeat."""
+def _labels(values: Iterable[object], where: str, error: type[CircularFuzzyError]) -> tuple[str, ...]:
+    """Each value as a label (see :func:`_label`), or ``error`` at ``where`` naming the first repeat."""
     labels = tuple(map(_label, values))
     seen: set[str] = set()
     for label in labels:
         if label in seen:
-            raise error(f"{what} labels must be unique, {_shown(label)} repeats")
+            raise error(f"labels must be unique, {_shown(label)} repeats", location=where)
         seen.add(label)
     return labels
 
@@ -168,20 +170,13 @@ class PFV:
         return PFV(self.nu, self.mu)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class CPFV:
     """The circle ``<mu, nu; r>``: a point-value center ``(mu, nu)`` and a radius in ``[0, 1]``."""
 
     mu: float
     nu: float
     r: float
-
-    def __init__(self, mu: float, nu: float, r: float) -> None:
-        # The slots' own setters; a generated frozen __init__'s object.__setattr__ costs twice as much.
-        _set_mu(self, mu)
-        _set_nu(self, nu)
-        _set_r(self, r)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _point(self)
@@ -201,7 +196,44 @@ class CPFV:
         return CPFV(self.nu, self.mu, self.r)
 
 
-_set_mu, _set_nu, _set_r = CPFV.mu.__set__, CPFV.nu.__set__, CPFV.r.__set__
+def _require_circles(mu: Sequence[float], nu: Sequence[float], r: Sequence[float]) -> None:
+    """The check of :class:`CPFV` on each cell of non-empty float columns, in whole-column
+    passes; the first cell that fails is built as a :class:`CPFV`, to raise its own error."""
+    # A NaN can hide from min() and max(), but not from sum().
+    squares = map(add, map(mul, mu, mu), map(mul, nu, nu))
+    if max(squares) <= 1.0 + UNIT_SLACK and all(
+        0.0 <= min(c) and max(c) <= 1.0 and not math.isnan(sum(c)) for c in (mu, nu, r)
+    ):
+        return
+    for cell in zip(mu, nu, r):
+        CPFV(*cell)
+
+
+class CPFVRow(Sequence):
+    """Circular values held as their component sequences ``mu``, ``nu`` and ``r``: a read-only
+    ``Sequence[CPFV]`` that builds each item on access, ``==`` the tuple of its values."""
+
+    __slots__ = ("mu", "nu", "r")
+
+    def __init__(self, mu: Sequence[float], nu: Sequence[float], r: Sequence[float]) -> None:
+        self.mu, self.nu, self.r = mu, nu, r
+
+    @classmethod
+    def of(cls, values: Sequence[CPFV]) -> "CPFVRow":
+        return cls([v.mu for v in values], [v.nu for v in values], [v.r for v in values])
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def __getitem__(self, i: int | slice) -> "CPFV | CPFVRow":
+        return (CPFVRow if isinstance(i, slice) else CPFV)(self.mu[i], self.nu[i], self.r[i])
+
+    def __iter__(self) -> Iterator[CPFV]:
+        return map(CPFV, self.mu, self.nu, self.r)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (CPFVRow, tuple)) else NotImplemented
+
 
 #: The validating constructors under their functional names: they raise
 #: OutOfRange, ConstraintViolation or RadiusOutOfRange.
@@ -217,7 +249,7 @@ class CPFS:
 
     def __post_init__(self) -> None:
         elems = tuple(self.elements)
-        labels = _labels((label for label, _ in elems), "element", UniverseMismatch)
+        labels = _labels((label for label, _ in elems), "elements", UniverseMismatch)
         values = tuple(value for _, value in elems)
         for label, value in zip(labels, values):
             if not isinstance(value, CPFV):

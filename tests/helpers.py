@@ -32,7 +32,7 @@ from cpfs.aggregation import _checked, _weighted
 from cpfs.algebra import _require_positive
 from cpfs.rounding import require_precision
 from cpfs.serialize import result_to_dict
-from cpfs.values import _paired, _real
+from cpfs.values import _paired, _real, _shown
 
 __all__ = [
     "make_rng",
@@ -206,7 +206,7 @@ def reference_cell(node, where: str) -> PFV:
         raise ParseError(f"expected a [mu, nu] pair, got {len(node)} items", location=where)
     for k, x in enumerate(node):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ParseError(f"expected a number, got {x!r}", location=f"{where}[{k}]")
+            raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where}[{k}]")
     try:
         return PFV(float(node[0]), float(node[1]))
     except CircularFuzzyError as err:

@@ -79,45 +79,53 @@ class TestDecisionProblem:
 
     def test_a_repeated_label_is_named(self):
         cells = ((PFV(0.5, 0.5),) * 2,) * 2
-        with pytest.raises(DimensionMismatch, match="^alternative labels must be unique, 'A1' repeats$"):
+        message = "^alternatives: labels must be unique, 'A1' repeats$"
+        with pytest.raises(DimensionMismatch, match=message) as raised:
             DecisionProblem(("A1", "A1"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5), (cells,))
-        with pytest.raises(DimensionMismatch, match="^criterion labels must be unique, 'C2' repeats$"):
+        assert raised.value.location == "alternatives"
+        with pytest.raises(DimensionMismatch, match="^criteria: labels must be unique, 'C2' repeats$") as raised:
             DecisionProblem(("A1", "A2"), ("C2", "C2"), ("benefit",) * 2, (0.5, 0.5), (cells,))
+        assert raised.value.location == "criteria"
 
     def test_polarity_length_checked(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="^polarity: got 1 for 2 criteria$"):
             small_problem(
                 [[(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.5), (0.5, 0.5)]],
                 polarity=("benefit",),
             )
 
     def test_polarity_values_checked(self):
-        with pytest.raises(DomainError):
+        message = r"^polarity\[1\]: must be 'benefit' or 'cost', got 'profit'$"
+        with pytest.raises(DomainError, match=message) as raised:
             small_problem(
                 [[(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.5), (0.5, 0.5)]],
                 polarity=("benefit", "profit"),
             )
+        assert raised.value.location == "polarity[1]"
 
     def test_weight_length_checked(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="^weights: got 3 for 2 criteria$"):
             small_problem(
                 [[(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.5), (0.5, 0.5)]],
                 weights=(0.2, 0.3, 0.5),
             )
 
     def test_weight_invariants_checked(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(InvalidWeights, match="^weights: must sum to 1 within 1e-09, got 0.9$") as raised:
             small_problem(
                 [[(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.5), (0.5, 0.5)]],
                 weights=(0.4, 0.5),
             )
+        assert raised.value.location == "weights"
 
     def test_plain_weights_are_checked_as_a_weight_vector(self):
         cells = (((PFV(0.5, 0.5), PFV(0.5, 0.5)),),)
         p = DecisionProblem(("A1",), ("C1", "C2"), ("benefit", "cost"), (0.5, 0.5), cells)
         assert p.weights == WeightVector.of(0.5, 0.5)
-        with pytest.raises(InvalidWeights, match=r"weights\[0\]"):
+        message = r"^weights\[0\]: weight must be a real number, got 'x'$"
+        with pytest.raises(InvalidWeights, match=message) as raised:
             DecisionProblem(("A1",), ("C1", "C2"), ("benefit", "cost"), ("x", "y"), cells)
+        assert raised.value.location == "weights[0]"
 
     def test_no_experts_rejected(self):
         with pytest.raises(EmptyInput, match="^need at least one expert matrix$"):

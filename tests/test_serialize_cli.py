@@ -239,11 +239,15 @@ class TestParseConfig:
      "criteria[1]", "expected a string, got NoneType"),
     (load_problem, json.dumps(minimal_doc()).replace("[0.6, 0.4]]", "[0.9, 0.9]]", 1),
      "experts[0][0][1]", "mu**2 + nu**2 must not exceed 1"),
-    (load_problem, json.dumps({**minimal_doc(), "weights": [0.6, 0.3]}), None, "weights must sum to 1"),
+    (load_problem, json.dumps({**minimal_doc(), "weights": [0.6, 0.3]}), "weights", "must sum to 1"),
+    (load_problem, json.dumps({**minimal_doc(), "polarity": ["benefit", "profit"]}), "polarity[1]",
+     "must be 'benefit' or 'cost', got 'profit'"),
+    (load_problem, json.dumps({**minimal_doc(), "criteria": ["C1", "C1"]}), "criteria",
+     "labels must be unique, 'C1' repeats"),
     (load_config, '{"operator": "cpwa_z"}', "operator", "unknown operator 'cpwa_z'"),
     (load_config, '{"precision": -1}', "precision", "expected a non-negative integer"),
     (load_config, '{"note": 1}', "note", "unknown key"),
-], ids=["json", "label", "cell", "weights", "operator", "precision", "key"])
+], ids=["json", "label", "cell", "weights", "polarity", "repeat", "operator", "precision", "key"])
 def test_a_loaded_document_error_carries_its_file_and_place(tmp_path, load, text, location, message):
     path = tmp_path / "doc.json"
     path.write_text(text)

@@ -91,7 +91,7 @@ class TestValidateCpfv:
 
 
 class TestCpfvInit:
-    """``CPFV``'s hand-written ``__init__`` keeps the dataclass behaviour."""
+    """``CPFV``'s constructor keeps the dataclass behaviour."""
 
     def test_calls_the_class_post_init_once(self, monkeypatch):
         calls = []
