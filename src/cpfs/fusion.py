@@ -18,7 +18,7 @@ Its bits equal the cell-by-cell formula's: a center is the correctly rounded
 ``math.fsum`` of the same squares, a radius the largest of the same
 ``math.hypot`` distances (pairwise ``max`` picks the same non-NaN float), and
 the clamp, a no-op below 1, runs only if needed.  The fused matrix stays three
-columns, a :class:`CircularMatrix`, that build a ``CPFV`` only on access.
+columns, a :class:`CircularMatrix` of row views that build a ``CPFV`` on access.
 """
 
 from __future__ import annotations
@@ -65,31 +65,26 @@ def fuse(collection: Sequence[PFV]) -> CPFV:
 
 class CircularMatrix(Sequence):
     """The fused matrix: ``cells``, the float columns of every cell in alternative -> criterion
-    order (a :class:`~cpfs.values.CPFVRow`), in rows of ``criteria`` cells.  A read-only
-    sequence whose ``[i]`` builds row ``i``'s tuple of values, ``==`` the tuple of those tuples."""
+    order (a :class:`~cpfs.values.CPFVRow`), in rows of ``criteria`` cells.  A read-only sequence
+    of rows, each a ``CPFVRow`` slice of ``cells`` built on access and ``==`` its tuple of values."""
 
     __slots__ = ("cells", "criteria")
 
     def __init__(self, cells: CPFVRow, criteria: int) -> None:
         self.cells, self.criteria = cells, criteria
 
-    @classmethod
-    def of(cls, rows: Sequence[Sequence[CPFV]]) -> "CircularMatrix":
-        return cls(CPFVRow.of([v for row in rows for v in row]), len(rows[0]) if rows else 1)
-
-    def rows(self) -> Iterator[CPFVRow]:
-        """Each alternative's row, as a view over slices of the columns."""
+    def __iter__(self) -> Iterator[CPFVRow]:
         k = self.criteria
         return (self.cells[c : c + k] for c in range(0, len(self.cells), k))
 
     def __len__(self) -> int:
         return len(self.cells) // self.criteria
 
-    def __getitem__(self, i: int | slice) -> tuple:
+    def __getitem__(self, i: int | slice) -> CPFVRow | tuple[CPFVRow, ...]:
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         c = range(0, len(self.cells), self.criteria)[i]  # an IndexError past either end
-        return tuple(self.cells[c : c + self.criteria])
+        return self.cells[c : c + self.criteria]
 
     def __eq__(self, other: object) -> bool:
         return tuple(self) == tuple(other) if isinstance(other, (CircularMatrix, tuple)) else NotImplemented

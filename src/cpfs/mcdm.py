@@ -189,8 +189,8 @@ class Ranking:
 
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
-    """Everything the pipeline produced, for reporting.  ``circular_matrix`` holds
-    float columns; rows of circular values given in its place are converted."""
+    """Everything the pipeline produced, for reporting.  ``circular_matrix`` holds the
+    fused float columns; its rows are :class:`~cpfs.values.CPFVRow` views over them."""
 
     problem: DecisionProblem
     normalized: DecisionProblem
@@ -200,16 +200,6 @@ class PipelineResult:
     similarities: tuple[float, ...]
     ranking: Ranking
     operator: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.circular_matrix, CircularMatrix):
-            object.__setattr__(self, "circular_matrix", CircularMatrix.of(self.circular_matrix))
-
-    def fused_centers(self) -> tuple[tuple[PFV, ...], ...]:
-        return tuple(tuple(map(PFV, row.mu, row.nu)) for row in self.circular_matrix.rows())
-
-    def fused_radii(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(row.r) for row in self.circular_matrix.rows())
 
 
 def normalize(problem: DecisionProblem) -> DecisionProblem:
@@ -251,7 +241,7 @@ def solve(
     normalized = normalize(problem)
     circular = build_circular_matrix(normalized)
     aggregated, scored, similarities = [], [], []
-    for label, row in zip(problem.alternatives, circular.rows()):
+    for label, row in zip(problem.alternatives, circular):
         try:
             v = op(row, problem.weights)
             aggregated.append(v)

@@ -318,7 +318,7 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
     ))
     fused = [
         (alt, list(zip(crits, *(map(fmt.__getitem__, c) for c in (row.mu, row.nu, row.r)))))
-        for alt, row in zip(alts, result.circular_matrix.rows())
+        for alt, row in zip(alts, result.circular_matrix)
     ]
     emit("fused_centers", "alternative,criterion,mu,nu", (
         "".join([f"{alt},{crit},{mu},{nu}\n" for crit, mu, nu, _ in row]) for alt, row in fused
@@ -397,7 +397,7 @@ def result_to_dict(result: PipelineResult) -> dict:
         "criteria": list(problem.criteria),
         "weights": list(problem.weights),
         "circular_matrix": [
-            list(map(list, zip(row.mu, row.nu, row.r))) for row in result.circular_matrix.rows()
+            list(map(list, zip(row.mu, row.nu, row.r))) for row in result.circular_matrix
         ],
         "aggregated": [[v.mu, v.nu, v.r] for v in result.aggregated],
         "scored": [[v.mu, v.nu, v.r] for v in result.scored],

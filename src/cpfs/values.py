@@ -211,7 +211,7 @@ def _require_circles(mu: Sequence[float], nu: Sequence[float], r: Sequence[float
 
 class CPFVRow(Sequence):
     """Circular values held as their component sequences ``mu``, ``nu`` and ``r``: a read-only
-    ``Sequence[CPFV]`` that builds each item on access, ``==`` the tuple of its values."""
+    ``Sequence[CPFV]`` that builds each item on access, ``==`` and hashed as the tuple of its values."""
 
     __slots__ = ("mu", "nu", "r")
 
@@ -233,6 +233,9 @@ class CPFVRow(Sequence):
 
     def __eq__(self, other: object) -> bool:
         return tuple(self) == tuple(other) if isinstance(other, (CPFVRow, tuple)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 #: The validating constructors under their functional names: they raise

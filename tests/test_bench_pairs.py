@@ -1,5 +1,6 @@
-"""``tools/bench_pairs.py``: its line count of ``src/``, its summary of pairs, its
-``--pairs`` check and the layout of the committed ``BENCH_*.json`` files."""
+"""``tools/bench_pairs.py``: its copy of the working tree, its line count of ``src/``,
+its summary of pairs, its ``--pairs`` check and the layout of the committed
+``BENCH_*.json`` files."""
 
 import importlib.util
 import json
@@ -34,6 +35,26 @@ def test_src_lines_of_this_checkout_match_wc(bench_pairs):
     files = sorted(str(p) for p in (ROOT / "src" / "cpfs").glob("*.py"))
     wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True).stdout
     assert bench_pairs.src_lines(ROOT) == int(wc.splitlines()[-1].split()[0])
+
+
+def test_copy_worktree_takes_the_files_git_sees_and_no_bytecode_cache(bench_pairs, tmp_path):
+    checkout, copy = tmp_path / "checkout", tmp_path / "copy"
+    package = checkout / "src" / "cpfs"
+    (package / "__pycache__").mkdir(parents=True)
+    (checkout / ".gitignore").write_text("__pycache__/\n")
+    (package / "old.py").write_text("x = 1\n")
+    (package / "gone.py").write_text("y = 2\n")
+    subprocess.run(["git", "init", "-q"], cwd=checkout, check=True)
+    subprocess.run(["git", "add", "."], cwd=checkout, check=True)
+    (package / "gone.py").unlink()  # tracked, then deleted from the tree
+    (package / "old.py").write_text("x = 3\n")  # an edit not yet staged
+    (package / "new.py").write_text("z = 4\n")  # untracked, not ignored
+    (package / "__pycache__" / "old.cpython-311.pyc").write_bytes(b"cache")
+    copy.mkdir()
+    bench_pairs.copy_worktree(checkout, copy)
+    assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/cpfs/new.py", "src/cpfs/old.py"]
+    assert (copy / "src" / "cpfs" / "old.py").read_text() == "x = 3\n"
 
 
 def side(failed, **metrics):

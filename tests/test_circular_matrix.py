@@ -1,13 +1,13 @@
 """The fused matrix held as three float columns from fuse to score.
 
 ``build_circular_matrix`` returns a ``CircularMatrix``: the fused ``mu``,
-``nu`` and ``r`` columns, from which ``[i]`` builds alternative ``i``'s tuple
-of ``CPFV`` on access.  ``solve`` hands each alternative's row to the
-operator as a ``CPFVRow``, a ``Sequence[CPFV]`` over slices of the columns.
-The columns must equal the per-cell reference fuse bit for bit (compared as
-``float.hex``, so the sign of ``-0.0`` counts); both views must behave as the
-tuples they replace; and the fused point check, made over whole columns,
-must raise exactly the error ``CPFV`` raises for the first bad cell.
+``nu`` and ``r`` columns, whose ``[i]`` and iteration give alternative ``i``'s
+row as a ``CPFVRow``, a ``Sequence[CPFV]`` over slices of the columns built on
+access; ``solve`` hands that row to the operator.  The columns must equal the
+per-cell reference fuse bit for bit (compared as ``float.hex``, so the sign of
+``-0.0`` counts); the matrix and its rows must behave, compare and hash as the
+tuples they replace; and the fused point check, made over whole columns, must
+raise exactly the error ``CPFV`` raises for the first bad cell.
 """
 
 import math
@@ -76,7 +76,7 @@ def test_the_benchmark_problems_hold_the_reference_fuse(monkeypatch, params, pre
     assert_columns_equal_the_reference(solve(problem, "cpwa_q", aggregate_precision=precision))
 
 
-# -- the two views -----------------------------------------------------------------
+# -- the matrix and its row views --------------------------------------------------
 
 ROWS = (
     (CPFV(0.5, 0.4, 0.1), CPFV(-0.0, 1.0, 0.0), CPFV(0.6, 0.8, 1.0)),
@@ -85,10 +85,14 @@ ROWS = (
 )
 
 
+def of_rows(rows):
+    return CircularMatrix(CPFVRow.of([v for row in rows for v in row]), len(rows[0]))
+
+
 @pytest.fixture(params=["of rows", "fused"])
 def matrix(request):
     if request.param == "of rows":
-        return CircularMatrix.of(ROWS), ROWS
+        return of_rows(ROWS), ROWS
     problem = DecisionProblem(("A1", "A2"), ("C1", "C2", "C3"), ("benefit",) * 3, WeightVector.uniform(3),
                               [[[PFV(0.5, 0.4), PFV(0.0, 1.0), PFV(0.8, 0.6)],
                                 [PFV(1.0, 0.0), PFV(0.3, 0.3), PFV(0.1, 0.2)]]] * 2)
@@ -97,18 +101,21 @@ def matrix(request):
 
 
 def test_the_matrix_is_a_read_only_sequence_of_row_tuples(matrix):
+    """Its rows are ``CPFVRow`` views, each ``==`` and hashed as its tuple of values."""
     matrix, rows = matrix
     n = len(rows)
     assert len(matrix) == n and matrix.criteria == 3
     for i in range(-n, n):
-        assert type(matrix[i]) is tuple and matrix[i] == rows[i]
+        assert type(matrix[i]) is CPFVRow and matrix[i] == rows[i]
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             matrix[i]
     for cut in (slice(None), slice(1, None), slice(None, None, -1), slice(5, 9)):
-        assert matrix[cut] == rows[cut]
-    assert tuple(matrix) == rows and list(reversed(matrix)) == list(reversed(rows))
-    assert matrix == rows and rows == matrix and matrix == CircularMatrix.of(rows) and hash(matrix) == hash(rows)
+        assert type(matrix[cut]) is tuple and matrix[cut] == rows[cut]
+        assert all(type(view) is CPFVRow for view in matrix[cut])
+    assert [type(view) for view in matrix] == [CPFVRow] * n and tuple(matrix) == rows
+    assert list(reversed(matrix)) == list(reversed(rows))
+    assert matrix == rows and rows == matrix and matrix == of_rows(rows) and hash(matrix) == hash(rows)
     assert matrix != rows[:-1] and matrix != list(rows)
     with pytest.raises(TypeError):
         matrix[0] = rows[1]
@@ -116,7 +123,7 @@ def test_the_matrix_is_a_read_only_sequence_of_row_tuples(matrix):
 
 def test_a_row_view_is_a_sequence_of_its_values(matrix):
     matrix, rows = matrix
-    for view, row in zip(matrix.rows(), rows):
+    for view, row in zip(matrix, rows):
         assert type(view) is CPFVRow and len(view) == len(row) == 3
         for j in range(-3, 3):
             assert type(view[j]) is CPFV and hexed(view[j]) == hexed(row[j])
@@ -127,6 +134,7 @@ def test_a_row_view_is_a_sequence_of_its_values(matrix):
             assert type(view[cut]) is CPFVRow and view[cut] == row[cut]
         assert [hexed(v) for v in view] == [hexed(v) for v in row]
         assert view == row and row == view and view == CPFVRow.of(row) and view != row[:2]
+        assert hash(view) == hash(row) and {view, row} == {row}
         assert row[1] in view and view.index(row[2]) == 2
 
 

@@ -33,7 +33,9 @@ from cpfs import (
     load_case_study,
     solve,
 )
+from cpfs.fusion import CircularMatrix
 from cpfs.serialize import _indented, parse_collections, parse_problem, result_to_dict, write_solve_tables
+from cpfs.values import CPFVRow
 from helpers import perfbench_gen, reference_cell, reference_solve_tables
 
 # Repeats, both zeros, half-up ties at two and three decimals, and a value
@@ -73,7 +75,7 @@ def results(draw):
         )
 
     cpfvs = st.tuples(pfvs, unit).map(lambda p: CPFV(p[0].mu, p[0].nu, p[1]))
-    circular = tuple(tuple(draw(st.lists(cpfvs, min_size=m, max_size=m))) for _ in alts)
+    circular = CircularMatrix(CPFVRow.of(draw(st.lists(cpfvs, min_size=n * m, max_size=n * m))), m)
     aggregated = tuple(draw(st.lists(cpfvs, min_size=n, max_size=n)))
     similarities = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
     return PipelineResult(
@@ -105,8 +107,8 @@ def test_negative_zero_keeps_its_sign_after_a_positive_zero(tmp_path):
     problem = DecisionProblem(("A1", "A2"), ("C1",), ("benefit",), WeightVector((1.0,)),
                               (((a,), (b,)),))
     v = CPFV(a.mu, a.nu, 0.0)
-    result = PipelineResult(problem, problem, ((v,), (v,)), (v, v), (v, v), (0.5, 0.5),
-                            Ranking.from_scores(("A1", "A2"), (0.5, 0.5)), "cpwa_q")
+    result = PipelineResult(problem, problem, CircularMatrix(CPFVRow.of((v, v)), 1), (v, v), (v, v),
+                            (0.5, 0.5), Ranking.from_scores(("A1", "A2"), (0.5, 0.5)), "cpwa_q")
     write_solve_tables(result, tmp_path)
     lines = (tmp_path / "normalized_matrix.csv").read_text().splitlines()
     assert lines[1:] == ["1,A1,C1,0.00,0.50", "1,A2,C1,-0.00,0.50"]

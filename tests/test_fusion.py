@@ -14,6 +14,7 @@ from cpfs import (
     round_half_up,
 )
 from cpfs.fusion import CircularMatrix
+from cpfs.values import CPFVRow
 from helpers import make_rng, point_values, problems, reference_fuse, sample_pfv
 
 
@@ -169,7 +170,7 @@ def test_fuse_equals_the_per_cell_formula(points):
 def test_build_circular_matrix_equals_the_per_cell_formula(problem):
     experts = problem.experts
     out = build_circular_matrix(problem)
-    assert type(out) is CircularMatrix and all(type(row) is tuple for row in out)
+    assert type(out) is CircularMatrix and all(type(row) is CPFVRow for row in out)
     want = [[hexed(reference_fuse([matrix[i][j] for matrix in experts])) for j in range(len(row))]
             for i, row in enumerate(experts[0])]
     assert [[hexed(v) for v in row] for row in out] == want

@@ -180,13 +180,10 @@ class TestSolve:
         assert result.similarities == tuple(csm_to_ideal(v) for v in result.scored)
         assert sorted(result.ranking.labels()) == sorted(problem.alternatives)
 
-    def test_fused_center_and_radius_views(self, problem):
-        result = solve(problem, "cpwa_q")
-        for row, centers, radii in zip(
-            result.circular_matrix, result.fused_centers(), result.fused_radii()
-        ):
-            assert tuple(v.center for v in row) == centers
-            assert tuple(v.r for v in row) == radii
+    def test_identical_solves_give_equal_results_with_equal_hashes(self, problem):
+        first, second = solve(problem, "cpwg_p"), solve(problem, "cpwg_p")
+        assert first.circular_matrix is not second.circular_matrix
+        assert first == second and hash(first) == hash(second)
 
     def test_scores_non_increasing(self, problem):
         for operator in ("cpwa_q", "cpwg_p"):

@@ -4,7 +4,10 @@
         --pairs 10 --seconds 20 --seed 700 --out BENCH_7.json --change "what changed"
 
 The parent revision's committed files are exported (``git archive``) into a
-temporary directory; the change side is this checkout's working tree.  Pair
+temporary directory, and the change side is a copy, in another, of this
+checkout's working tree: its tracked files and its untracked files that git
+does not ignore.  Neither side holds a bytecode cache, so both compile alike
+in each set-up sample.  Pair
 ``i`` runs ``perfbench/run.py --workload W --seed SEED+i --seconds S`` once on
 each side, the parent first in even pairs and the change first in odd ones,
 so a drift in host speed falls on both sides alike.  A run that exits
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +51,18 @@ def export(revision: str, into: Path) -> None:
         archive.seek(0)
         with tarfile.open(fileobj=archive) as tar:
             tar.extractall(into)
+
+
+def copy_worktree(checkout: Path, into: Path) -> None:
+    """The working tree of the git checkout ``checkout``, written under ``into``: its tracked
+    files and its untracked files that are not ignored, so no ``__pycache__`` comes along."""
+    listed = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=checkout,
+                            check=True, capture_output=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source, target = checkout / name, into / name
+        if source.is_file():  # a tracked file deleted from the tree is still listed
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def src_lines(checkout: Path) -> int:
@@ -132,20 +148,22 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp_parent, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as tmp_change:
+        parent, change = Path(tmp_parent), Path(tmp_change)
         export(parent_commit, parent)
+        copy_worktree(ROOT, change)
         for workload in args.workload:
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"workload": workload, "pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run(parent if side == "parent" else ROOT, workload, seed, args.seconds)
+                    pair[side] = run(parent if side == "parent" else change, workload, seed, args.seconds)
                     solve_ms = pair[side]["result"]["metrics"]["solve_p50_ms"]["value"]
                     print(f"{workload} pair {i} {side}: solve_p50_ms {solve_ms:.2f}", file=sys.stderr)
                 pairs.append(pair)
-        lines = {"parent": src_lines(parent), "change": src_lines(ROOT)}
+        lines = {"parent": src_lines(parent), "change": src_lines(change)}
 
     machine = {k: v for k, v in pairs[0]["parent"]["record"]["provenance"].items()
                if k not in ("git_commit", "seed")}
@@ -156,8 +174,8 @@ def main(argv=None) -> int:
                     f"--seconds {args.seconds:g}"),
         "machine": machine,
         "note": "the parent side ran on the committed files of parent_commit, exported by git "
-                "archive; the change side ran on the working tree; pairs alternate which side "
-                "runs first",
+                "archive; the change side ran on a copy of the working tree's tracked and "
+                "not ignored files; pairs alternate which side runs first",
         "pairs": pairs,
         "parent_commit": parent_commit,
         "src_lines": lines,
