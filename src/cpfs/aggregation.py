@@ -37,7 +37,7 @@ Weight handling:
   conventions, no special case.
 
 The four operator variants, named in :data:`OPERATOR_NAMES` (or ``q``/``p`` for
-``cpwa_q``/``cpwa_p``), are built by :func:`make_operator` and :func:`aggregate`.
+``cpwa_q``/``cpwa_p``), are built by :func:`make_operator`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "cpwg",
     "OPERATOR_NAMES",
     "make_operator",
-    "aggregate",
 ]
 
 #: Tolerance on the sum-to-one invariant of weight vectors.
@@ -174,12 +173,3 @@ def make_operator(name: str, gens: GeneratorPair | None = None) -> AggregationOp
     operator.__name__ = name
     return operator
 
-
-def aggregate(
-    name: str,
-    values: Sequence[CPFV],
-    w: WeightVector,
-    gens: GeneratorPair | None = None,
-) -> CPFV:
-    """One-shot aggregation by operator name."""
-    return make_operator(name, gens)(values, w)

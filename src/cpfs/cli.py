@@ -21,19 +21,17 @@ from .datasets import case_study_path
 from .errors import CircularFuzzyError, DomainError
 from .fusion import fuse
 from .mcdm import complexity_estimate, complexity_sweep, solve
-from .rounding import MAX_PRECISION, format_fixed, require_precision
+from .rounding import format_fixed, require_precision
 from .serialize import _quoted, load_collections, load_config, load_problem
 from .serialize import write_solve_tables
-from .values import _shown
 
 
 def _precision(text: str) -> int:
+    # int() may refuse over 640 digits (the lowest limit it can be set to): longer text is checked as typed.
     try:
-        return require_precision(int(text) if text.isdecimal() else None)
-    except (DomainError, ValueError):  # int() refuses more than 4,300 digits
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer at most {MAX_PRECISION}, got {_shown(text)}"
-        ) from None
+        return require_precision(int(text) if text.isdecimal() and len(text) <= 640 else text)
+    except DomainError as err:  # argparse puts "argument --precision: " before the message
+        raise argparse.ArgumentTypeError(Exception.__str__(err)) from None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

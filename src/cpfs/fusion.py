@@ -27,10 +27,10 @@ import math
 from functools import reduce
 from itertools import repeat
 from operator import mul, sub, truediv
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import EmptyInput
-from .values import CPFV, PFV, CPFVRow, _require_circles
+from .values import CPFV, PFV, CPFVRow, _require_circles, _shown
 
 if TYPE_CHECKING:
     from .mcdm import DecisionProblem
@@ -44,15 +44,16 @@ def _quadratic_means(columns: Sequence[Sequence[float]]) -> tuple[float, ...]:
     return tuple(map(math.sqrt, map(truediv, map(math.fsum, squares), repeat(len(columns)))))
 
 
-def _fused_columns(mus: Sequence[Sequence[float]], nus: Sequence[Sequence[float]]) -> CPFVRow:
-    """The fused cells of the non-empty, equally long per-expert columns, as columns, each
-    cell checked as a circular value: cell ``c`` fuses the points ``(mus[e][c], nus[e][c])``."""
+def _fused_columns(mus: Sequence[Sequence[float]], nus: Sequence[Sequence[float]],
+                   where: Callable[[int], str | None] = lambda c: None) -> CPFVRow:
+    """The fused cells of the non-empty, equally long per-expert columns, as columns: cell ``c``
+    fuses the points ``(mus[e][c], nus[e][c])`` and is checked as a circular value at ``where(c)``."""
     mu, nu = _quadratic_means(mus), _quadratic_means(nus)
     distances = [map(math.hypot, map(sub, mu, x), map(sub, nu, y)) for x, y in zip(mus, nus)]
     r = tuple(reduce(lambda a, b: map(max, a, b), distances))
     if max(r) > 1.0:  # min(x, 1.0) is x itself for every x <= 1, so it runs only when it clamps
         r = tuple(map(min, r, repeat(1.0)))
-    _require_circles(mu, nu, r)
+    _require_circles(mu, nu, r, where)
     return CPFVRow(mu, nu, r)
 
 
@@ -101,9 +102,10 @@ def build_circular_matrix(problem: DecisionProblem) -> CircularMatrix:
     alternative ``i`` under criterion ``j``.  Each expert's block of the
     problem's columns is read through a ``memoryview``, not copied.
     """
-    _, n_alt, n_crit = problem.shape
-    step = n_alt * n_crit  # the cells of one expert matrix
+    alts, crits = problem.alternatives, problem.criteria
+    step = len(alts) * len(crits)  # the cells of one expert matrix
     mu, nu = memoryview(problem.mu), memoryview(problem.nu)
     blocks = range(0, len(mu), step)
-    cells = _fused_columns([mu[b : b + step] for b in blocks], [nu[b : b + step] for b in blocks])
-    return CircularMatrix(cells, n_crit)
+    at = lambda c: f"alternative {_shown(alts[c // len(crits)])}: criterion {_shown(crits[c % len(crits)])}"
+    cells = _fused_columns([mu[b : b + step] for b in blocks], [nu[b : b + step] for b in blocks], at)
+    return CircularMatrix(cells, len(crits))

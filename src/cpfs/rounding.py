@@ -26,9 +26,8 @@ MAX_PRECISION = 27
 def require_precision(digits: int) -> int:
     """``digits`` if it is an integer from 0 to :data:`MAX_PRECISION`, else :class:`DomainError`."""
     if isinstance(digits, bool) or not isinstance(digits, int) or not 0 <= digits <= MAX_PRECISION:
-        raise DomainError(
-            f"precision must be a non-negative integer at most {MAX_PRECISION}, got {_shown(digits)}"
-        )
+        raise DomainError(f"must be a non-negative integer at most {MAX_PRECISION}, got {_shown(digits)}",
+                          location="precision")
     return digits
 
 

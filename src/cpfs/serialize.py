@@ -35,9 +35,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .aggregation import _operator_name
-from .errors import CircularFuzzyError, DomainError, ParseError
+from .errors import CircularFuzzyError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
-from .rounding import MAX_PRECISION, format_fixed, require_precision
+from .rounding import format_fixed, require_precision
 from .values import PFV, _label, _require_point, _shown
 
 __all__ = [
@@ -218,12 +218,9 @@ def load_collections(path: str | Path) -> list[tuple[str, list[PFV]]]:
     return _load(parse_collections, path)
 
 
-def _as_digits(node: Any, where: str) -> int:
-    try:
-        return require_precision(node)
-    except DomainError:
-        message = f"expected a non-negative integer at most {MAX_PRECISION}, got {_shown(node)}"
-        raise ParseError(message, location=where) from None
+#: Each config key, in the order checked, with the library's check of its value.
+_CONFIG_CHECKS = {"operator": _operator_name, "precision": require_precision,
+                  "aggregate_precision": require_precision}
 
 
 def parse_config(document: str | dict, source: str | None = None) -> dict:
@@ -238,18 +235,11 @@ def parse_config(document: str | dict, source: str | None = None) -> dict:
     with _decoded(document, source) as data:
         if not isinstance(data, dict):
             raise ParseError("top level must be an object")
-        _known_keys(data, ("operator", "precision", "aggregate_precision"))
-        config = {}
-        if "operator" in data:
-            _located("operator", _operator_name, data["operator"])
-            config["operator"] = data["operator"]
-        if "precision" in data:
-            config["precision"] = _as_digits(data["precision"], "precision")
-        if "aggregate_precision" in data:
-            digits = data["aggregate_precision"]
-            config["aggregate_precision"] = (None if digits is None
-                                             else _as_digits(digits, "aggregate_precision"))
-        return config
+        _known_keys(data, tuple(_CONFIG_CHECKS))
+        for key, check in _CONFIG_CHECKS.items():
+            if key in data and (data[key] is not None or key != "aggregate_precision"):
+                _located(key, check, data[key])
+        return {key: data[key] for key in _CONFIG_CHECKS if key in data}
 
 
 def load_config(path: str | Path) -> dict:

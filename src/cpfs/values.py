@@ -46,8 +46,6 @@ __all__ = [
     "PFV",
     "CPFV",
     "CPFS",
-    "validate_pfv",
-    "validate_cpfv",
     "complement",
     "subset",
     "equal",
@@ -196,17 +194,22 @@ class CPFV:
         return CPFV(self.nu, self.mu, self.r)
 
 
-def _require_circles(mu: Sequence[float], nu: Sequence[float], r: Sequence[float]) -> None:
-    """The check of :class:`CPFV` on each cell of non-empty float columns, in whole-column
-    passes; the first cell that fails is built as a :class:`CPFV`, to raise its own error."""
+def _require_circles(mu: Sequence[float], nu: Sequence[float], r: Sequence[float],
+                     where: Callable[[int], str | None] = lambda c: None) -> None:
+    """The check of :class:`CPFV` on each cell of non-empty float columns, in whole-column passes;
+    the first cell ``c`` that fails is built as a :class:`CPFV`, to raise its error at ``where(c)``."""
     # A NaN can hide from min() and max(), but not from sum().
     squares = map(add, map(mul, mu, mu), map(mul, nu, nu))
     if max(squares) <= 1.0 + UNIT_SLACK and all(
         0.0 <= min(c) and max(c) <= 1.0 and not math.isnan(sum(c)) for c in (mu, nu, r)
     ):
         return
-    for cell in zip(mu, nu, r):
-        CPFV(*cell)
+    for c, cell in enumerate(zip(mu, nu, r)):
+        try:
+            CPFV(*cell)
+        except CircularFuzzyError as err:
+            err.location = where(c)
+            raise
 
 
 class CPFVRow(Sequence):
@@ -236,12 +239,6 @@ class CPFVRow(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-
-#: The validating constructors under their functional names: they raise
-#: OutOfRange, ConstraintViolation or RadiusOutOfRange.
-validate_pfv = PFV
-validate_cpfv = CPFV
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,6 @@ from cpfs import (
     add,
     add_general,
     add_minmax,
-    aggregate,
     algebraic_generator,
     algebraic_pair,
     complement,

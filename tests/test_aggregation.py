@@ -11,7 +11,6 @@ from cpfs import (
     UnknownOperator,
     WeightVector,
     add,
-    aggregate,
     algebraic_pair,
     cpwa,
     cpwg,
@@ -281,10 +280,10 @@ class TestOperatorRegistry:
         rng = make_rng(51)
         values = [sample_cpfv(rng) for _ in range(3)]
         w = WeightVector.uniform(3)
-        assert aggregate("cpwa_q", values, w) == cpwa(values, w, Q)
-        assert aggregate("cpwa_p", values, w) == cpwa(values, w, P)
-        assert aggregate("cpwg_q", values, w) == cpwg(values, w, Q)
-        assert aggregate("cpwg_p", values, w) == cpwg(values, w, P)
+        assert make_operator("cpwa_q")(values, w) == cpwa(values, w, Q)
+        assert make_operator("cpwa_p")(values, w) == cpwa(values, w, P)
+        assert make_operator("cpwg_q")(values, w) == cpwg(values, w, Q)
+        assert make_operator("cpwg_p")(values, w) == cpwg(values, w, P)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownOperator):
@@ -294,4 +293,4 @@ class TestOperatorRegistry:
         rng = make_rng(52)
         values = [sample_cpfv(rng) for _ in range(3)]
         w = WeightVector.uniform(3)
-        assert aggregate("cpwa_q", values, w, gens=P) == cpwa(values, w, P)
+        assert make_operator("cpwa_q", P)(values, w) == cpwa(values, w, P)

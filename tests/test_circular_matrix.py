@@ -236,4 +236,5 @@ def test_fusing_checks_every_fused_cell():
                                           array("d", mu), array("d", nu))
     with pytest.raises(ConstraintViolation) as raised:
         build_circular_matrix(problem)
-    assert (type(raised.value), str(raised.value)) == cpfv_error(fused_mu, 0.5, abs(fused_mu - 0.9))
+    error_type, message = cpfv_error(fused_mu, 0.5, abs(fused_mu - 0.9))
+    assert (type(raised.value), str(raised.value)) == (error_type, f"alternative 'A1': criterion 'C2': {message}")

@@ -18,7 +18,6 @@ from cpfs import (
     Ranking,
     UnknownOperator,
     WeightVector,
-    aggregate,
     algebraic_pair,
     complexity_estimate,
     complexity_sweep,
@@ -239,7 +238,7 @@ class TestSolve:
             rows = [list(r) for r in base.circular_matrix]
             rows[i] = [IDEAL] * k
             scores = [
-                csm_to_ideal(aggregate("cpwa_q", row, problem.weights)) for row in rows
+                csm_to_ideal(make_operator("cpwa_q")(row, problem.weights)) for row in rows
             ]
             assert max(range(len(scores)), key=scores.__getitem__) == i
 

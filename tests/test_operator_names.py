@@ -1,9 +1,9 @@
 """Every entry point takes the same operator names, and rejects the same ones.
 
 The four identifiers and the ``q``/``p`` aliases are accepted alike by the
-library (``make_operator``, ``aggregate``, ``complexity_estimate``,
-``solve``), by a config document and by both ``--operator`` options of the
-CLI.  Any other name gets one message from every entry point.
+library (``make_operator``, ``complexity_estimate``, ``solve``), by a config
+document and by both ``--operator`` options of the CLI.  Any other name gets
+one message from every entry point.
 """
 
 import json
@@ -14,7 +14,6 @@ from cpfs import (
     ParseError,
     UnknownOperator,
     WeightVector,
-    aggregate,
     complexity_estimate,
     load_case_study,
     make_operator,
@@ -68,7 +67,6 @@ def test_every_entry_point_accepts_each_name(problem, tmp_path, capsys, name):
     values, w = [sample_cpfv(rng) for _ in range(3)], WeightVector.uniform(3)
     assert make_operator(name).__name__ == full
     assert make_operator(name)(values, w) == make_operator(full)(values, w)
-    assert aggregate(name, values, w) == aggregate(full, values, w)
     assert complexity_estimate(5, 5, 3, name) == complexity_estimate(5, 5, 3, full)
     result = solve(problem, name)
     assert result.operator == full
@@ -89,10 +87,8 @@ def test_every_entry_point_accepts_each_name(problem, tmp_path, capsys, name):
 @pytest.mark.parametrize("name, shown", BAD, ids=["bogus", "Q", "cpwa", "list", "1", "10**5000"])
 def test_library_and_config_reject_other_names(problem, name, shown):
     message = f"unknown operator {shown}; {EXPECTED}"
-    values, w = [sample_cpfv(make_rng(11))], WeightVector.uniform(1)
     for call in (
         lambda: make_operator(name),
-        lambda: aggregate(name, values, w),
         lambda: complexity_estimate(5, 5, 3, name),
         lambda: solve(problem, name),
     ):

@@ -16,14 +16,14 @@ PUBLIC = [
     'PipelineResult', 'RADIUS_GENERATOR_NAMES', 'RadiusOutOfRange', 'Ranking',
     'RankingEntry', 'UNIT_SLACK', 'UniverseMismatch', 'UnknownGenerator', 'UnknownOperator',
     'WEIGHT_SUM_TOL', 'WeightVector', '__version__', 'add', 'add_general', 'add_minmax',
-    'aggregate', 'algebraic_dual_generator', 'algebraic_generator', 'algebraic_pair',
+    'algebraic_dual_generator', 'algebraic_generator', 'algebraic_pair',
     'build_circular_matrix', 'case_study_path', 'collections_path', 'complement',
     'complexity_estimate', 'complexity_sweep', 'cpwa', 'cpwg', 'csm', 'csm_to_ideal',
     'dual_tconorm', 'equal', 'format_fixed', 'fuse', 'intersect', 'load_case_study',
     'make_operator', 'multiply', 'multiply_general', 'multiply_minmax',
     'normalize', 'power', 'pythagorean_complement', 'radius_generator', 'round_half_up',
     'scalar_multiple', 'solve', 'subset', 'tconorm_from_generator', 'tnorm_from_generator',
-    'union', 'validate_cpfv', 'validate_pfv',
+    'union',
 ]  # fmt: skip
 
 

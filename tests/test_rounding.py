@@ -3,8 +3,18 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cpfs import MAX_PRECISION, DomainError, ParseError, format_fixed, round_half_up
-from cpfs.serialize import parse_config
+from cpfs import (
+    MAX_PRECISION,
+    DomainError,
+    ParseError,
+    collections_path,
+    format_fixed,
+    load_case_study,
+    round_half_up,
+    solve,
+)
+from cpfs.cli import main
+from cpfs.serialize import parse_config, write_solve_tables
 from helpers import reference_format_fixed, reference_round_half_up
 
 
@@ -121,3 +131,62 @@ def test_any_float_rounds_as_the_reference(x, digits):
 def test_a_value_that_needs_more_than_28_digits_is_a_domain_error(fn):
     with pytest.raises(DomainError, match="28 digits"):
         fn(1e300, 2)
+
+
+# -- one rule, one message: every channel rejects a precision alike ------------
+
+#: What each rejection of a precision says after its source and place.
+RULE = f"must be a non-negative integer at most {MAX_PRECISION}, got "
+
+#: Each rejected precision, with the command-line text that gives it; a string has
+#: none, since every argument is one.
+REJECTED = {
+    "-1": (-1, "-1"),
+    "28": (28, "28"),
+    "True": (True, "True"),
+    "2.0": (2.0, "2.0"),
+    "'2'": ("2", None),
+    "5000 digits": (10**4999, "1" * 5000),
+}
+
+#: Each library entry point that takes a precision, called with ``digits`` and a directory.
+LIBRARY = {
+    "round_half_up": lambda digits, out: round_half_up(0.5, digits),
+    "format_fixed": lambda digits, out: format_fixed(0.5, digits),
+    "solve": lambda digits, out: solve(load_case_study(), aggregate_precision=digits),
+    "write_solve_tables": lambda digits, out: write_solve_tables(solve(load_case_study()), out, digits),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+@pytest.mark.parametrize("entry", LIBRARY)
+def test_the_library_rejects_a_precision_by_the_rule(tmp_path, entry, name):
+    with pytest.raises(DomainError) as info:
+        LIBRARY[entry](REJECTED[name][0], tmp_path / "out")
+    err = info.value
+    assert err.location == "precision"
+    assert str(err) == f"precision: {err.args[0]}"
+    assert err.args[0].startswith(RULE)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", REJECTED)
+@pytest.mark.parametrize("key", ["precision", "aggregate_precision"])
+def test_a_config_rejects_a_precision_by_the_rule(key, name):
+    with pytest.raises(ParseError) as info:
+        parse_config({key: REJECTED[name][0]}, source="cfg.json")
+    err = info.value
+    assert (err.source, err.location) == ("cfg.json", key)
+    assert str(err) == f"cfg.json: {key}: {err.args[0]}"
+    assert err.args[0].startswith(RULE)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, text) in REJECTED.items() if text is not None])
+@pytest.mark.parametrize("command", [["solve"], ["fuse", "--input", str(collections_path())]],
+                         ids=["solve", "fuse"])
+def test_the_cli_rejects_a_precision_by_the_rule(capsys, command, name):
+    with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value
+        main([*command, "--precision", REJECTED[name][1]])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"cpfs {command[0]}: error: argument --precision: {RULE}")

@@ -245,7 +245,7 @@ class TestParseConfig:
     (load_problem, json.dumps({**minimal_doc(), "criteria": ["C1", "C1"]}), "criteria",
      "labels must be unique, 'C1' repeats"),
     (load_config, '{"operator": "cpwa_z"}', "operator", "unknown operator 'cpwa_z'"),
-    (load_config, '{"precision": -1}', "precision", "expected a non-negative integer"),
+    (load_config, '{"precision": -1}', "precision", "must be a non-negative integer"),
     (load_config, '{"note": 1}', "note", "unknown key"),
 ], ids=["json", "label", "cell", "weights", "polarity", "repeat", "operator", "precision", "key"])
 def test_a_loaded_document_error_carries_its_file_and_place(tmp_path, load, text, location, message):
@@ -419,7 +419,7 @@ class TestCli:
         cfg.write_text('{"precision": ' + "1" * 4000 + "}")
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: precision: expected a non-negative integer at most 27, got {'1' * 16}..." in err
+        assert f"{cfg}: precision: must be a non-negative integer at most 27, got {'1' * 16}..." in err
         assert len(err.encode()) - len(str(cfg)) < 300
 
     def test_unknown_config_operator_is_located(self, tmp_path, capsys):
@@ -463,6 +463,25 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", "--input", str(bad)]) == 2
         assert "error: alternative 'A1': mu**2 + nu**2 must not exceed 1" in capsys.readouterr().err
+
+    def test_solve_names_a_fused_cell_off_the_disc(self, tmp_path, capsys):
+        # Each expert's cell has mu**2 + nu**2 == 1.000000001, inside the slack of the
+        # point rule, but the fused center's is 1.0000000010000003, just outside it.
+        doc = minimal_doc()
+        doc.update(criteria=["C1"], polarity=["benefit"], weights=[1.0])
+        doc["experts"] = [
+            [[[0.7121589030173542, 0.7020183030755814]], [[0.5, 0.5]]],
+            [[[0.7609249135053414, 0.6488399471417344]], [[0.5, 0.5]]],
+        ]
+        bad = tmp_path / "slack.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(bad)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: alternative 'A1': criterion 'C1': mu**2 + nu**2 must not exceed 1, "
+            "got 1.0000000010000003 for mu=0.7369453938861389, nu=0.6759522819178909\n"
+        )
 
     def test_solve_echoes_a_long_alternative_label_cut_short(self, tmp_path, capsys):
         doc = minimal_doc()

@@ -19,8 +19,6 @@ from cpfs import (
     intersect,
     subset,
     union,
-    validate_cpfv,
-    validate_pfv,
 )
 from cpfs.values import _require_component
 from helpers import grow, make_rng, sample_cpfv
@@ -46,48 +44,48 @@ def set_b():
 
 class TestValidatePfv:
     def test_boundary_pair_is_accepted(self):
-        v = validate_pfv(0.8, 0.6)
+        v = PFV(0.8, 0.6)
         assert v.quadratic_sum == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_pair_is_accepted(self):
-        assert validate_pfv(0.0, 0.0) == PFV(0.0, 0.0)
+        assert PFV(0.0, 0.0) == PFV(0.0, 0.0)
 
     def test_quadratic_violation(self):
         with pytest.raises(ConstraintViolation):
-            validate_pfv(0.9, 0.9)
+            PFV(0.9, 0.9)
 
     @pytest.mark.parametrize("mu,nu", [(-0.1, 0.5), (1.1, 0.0), (0.5, -0.01), (0.0, 1.5)])
     def test_component_out_of_range(self, mu, nu):
         with pytest.raises(OutOfRange):
-            validate_pfv(mu, nu)
+            PFV(mu, nu)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(OutOfRange):
-            validate_pfv(bad, 0.1)
+            PFV(bad, 0.1)
 
     def test_slack_admits_parsing_dust_only(self):
-        validate_pfv(0.6, 0.8000000000001)  # sum ~ 1 + 1.6e-13
+        PFV(0.6, 0.8000000000001)  # sum ~ 1 + 1.6e-13
         with pytest.raises(ConstraintViolation):
-            validate_pfv(0.6, 0.80000008)  # sum ~ 1 + 1.3e-7
+            PFV(0.6, 0.80000008)  # sum ~ 1 + 1.3e-7
 
 
 class TestValidateCpfv:
     def test_example_triple(self):
-        v = validate_cpfv(0.3, 0.8, 0.2)
+        v = CPFV(0.3, 0.8, 0.2)
         assert v.as_tuple() == (0.3, 0.8, 0.2)
 
     def test_ideal_is_valid(self):
-        assert validate_cpfv(1.0, 0.0, 1.0).r == 1.0
+        assert CPFV(1.0, 0.0, 1.0).r == 1.0
 
     @pytest.mark.parametrize("r", [1.2, -0.1, float("nan"), float("inf")])
     def test_radius_out_of_range(self, r):
         with pytest.raises(RadiusOutOfRange):
-            validate_cpfv(0.5, 0.5, r)
+            CPFV(0.5, 0.5, r)
 
     def test_center_errors_still_raised(self):
         with pytest.raises(ConstraintViolation):
-            validate_cpfv(0.9, 0.9, 0.5)
+            CPFV(0.9, 0.9, 0.5)
 
 
 class TestCpfvInit:
