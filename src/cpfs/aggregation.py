@@ -9,7 +9,8 @@ Two operators, each parameterised by a :class:`~cpfs.generators.GeneratorPair`:
 weighted geometric (multiplication-folding) one; either equals the left fold
 of the corresponding pairwise operation over scalar multiples / powers.
 They are complement-duals, ``cpwg(values) = ~cpwa(~values)``, since the
-complement swaps ``mu`` and ``nu``.  Both call one kernel: ``cpwa`` with the
+complement swaps ``mu`` and ``nu``.  Both call one kernel, which lifts the
+generator fold ``generators._weighted`` to circular values: ``cpwa`` with the
 membership/non-membership generators ``(h, g)``, ``cpwg`` with ``(g, h)``,
 so no value is complemented on the way.  :func:`~cpfs.algebra.add` and
 :func:`~cpfs.algebra.scalar_multiple` are the same kernel with weights
@@ -48,7 +49,7 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyInput, InvalidWeights, LengthMismatch, UnknownOperator
-from .generators import Generator, GeneratorPair, algebraic_pair
+from .generators import Generator, GeneratorPair, _weighted, algebraic_pair
 from .values import CPFV, CPFVRow, _require_component, _require_count, _shown
 
 __all__ = [
@@ -111,21 +112,11 @@ def _checked(values: Sequence[CPFV], w: WeightVector) -> tuple[Sequence[CPFV], t
     return values, w.weights
 
 
-def _weighted(gen: Generator, xs: Sequence[float], ws: Sequence[float]) -> float:
-    # weight-zero components are skipped: lim_{w->0+} w * gen(x) = 0 even when gen(x) = inf
-    total = 0.0
-    for x, w in zip(xs, ws):
-        if w == 0.0:
-            continue
-        total += w * gen.forward(x)
-    return gen.inverse(total)
-
-
 def _generator_sum(
     values: Sequence[CPFV], ws: Sequence[float], mu_gen: Generator, nu_gen: Generator, r_gen: Generator
 ) -> CPFV:
-    """``< mu_gen_inv(sum w_i mu_gen(mu_i)), ...; r_gen_inv(sum w_i r_gen(r_i)) >``: the one
-    generator formula behind the weighted operators, sums and scalar multiples.  It reads
+    """``< mu_gen_inv(sum w_i mu_gen(mu_i)), ...; r_gen_inv(sum w_i r_gen(r_i)) >``: the generator
+    formula on circles, behind the weighted operators, sums and scalar multiples.  It reads
     the components of a :class:`~cpfs.values.CPFVRow`, and makes any other values one."""
     row = values if type(values) is CPFVRow else CPFVRow.of(values)
     return CPFV(_weighted(mu_gen, row.mu, ws), _weighted(nu_gen, row.nu, ws), _weighted(r_gen, row.r, ws))

@@ -12,7 +12,9 @@ t-conorm dual to ``T`` under ``N`` has the *increasing* generator
 
 with ``h(0) = 0``.  A :class:`GeneratorPair` bundles ``g`` (used on the
 non-membership side), the induced ``h`` (membership side) and a third
-generator ``q`` for the radius side, which may be of either kind.
+generator ``q`` for the radius side, which may be of either kind.  The one
+generator formula, the fold ``gen_inv(sum w_i gen(x_i))``, lives here as
+``_weighted``; :mod:`cpfs.aggregation` lifts it to circular values.
 
 Extended-value conventions make every composition total: ``g(0) = +inf`` and
 ``h(1) = +inf`` are represented by ``math.inf``; a finite sum with infinity
@@ -22,8 +24,8 @@ near-boundary values do not underflow.
 
 Only the product family ships built in:
 
-    g(t) = -log(t**2)          (identifier ``"algebraic_q"`` as a radius generator)
-    h(t) = -log(1 - t**2)      (identifier ``"algebraic_p"``)
+    g(t) = -log(t**2)          (the radius generator of ``algebraic_pair("algebraic_q")``)
+    h(t) = -log(1 - t**2)      (the radius generator of ``algebraic_pair("algebraic_p")``)
 
 Any user-supplied :class:`Generator` satisfying the same contract works with
 the rest of the package.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DomainError, UnknownGenerator
 from .values import _shown
@@ -43,8 +45,6 @@ __all__ = [
     "GeneratorPair",
     "algebraic_generator",
     "algebraic_dual_generator",
-    "radius_generator",
-    "RADIUS_GENERATOR_NAMES",
     "algebraic_pair",
     "pythagorean_complement",
     "tnorm_from_generator",
@@ -70,13 +70,16 @@ class Generator:
     inverse: Callable[[float], float]
     increasing: bool = False
 
-    def combine(self, x: float, y: float) -> float:
-        """inverse(forward(x) + forward(y)) -- the induced binary operation."""
-        return self.inverse(self.forward(x) + self.forward(y))
 
-    def scale(self, lam: float, x: float) -> float:
-        """inverse(lam * forward(x)) for lam > 0."""
-        return self.inverse(lam * self.forward(x))
+def _weighted(gen: Generator, xs: Sequence[float], ws: Sequence[float]) -> float:
+    """``gen_inv(sum w_i gen(x_i))``: the one generator formula."""
+    # weight-zero components are skipped: lim_{w->0+} w * gen(x) = 0 even when gen(x) = inf
+    total = 0.0
+    for x, w in zip(xs, ws):
+        if w == 0.0:
+            continue
+        total += w * gen.forward(x)
+    return gen.inverse(total)
 
 
 def _alg_forward(t: float) -> float:
@@ -112,25 +115,6 @@ def algebraic_dual_generator() -> Generator:
     return Generator("algebraic_dual", _alg_dual_forward, _alg_dual_inverse, increasing=True)
 
 
-#: Registered radius-generator identifiers.
-RADIUS_GENERATOR_NAMES = ("algebraic_q", "algebraic_p")
-
-
-def radius_generator(name: str) -> Generator:
-    """Look up a radius generator by identifier.
-
-    ``"algebraic_q"`` is the decreasing kind (radius combines like a product),
-    ``"algebraic_p"`` the increasing kind (radius combines like a dual sum).
-    """
-    if name == "algebraic_q":
-        return algebraic_generator()
-    if name == "algebraic_p":
-        return algebraic_dual_generator()
-    raise UnknownGenerator(
-        f"unknown radius generator {_shown(name)}; expected one of {RADIUS_GENERATOR_NAMES}"
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class GeneratorPair:
     """The three generators driving all value algebra.
@@ -151,12 +135,12 @@ class GeneratorPair:
 
 
 def algebraic_pair(radius: str = "algebraic_q") -> GeneratorPair:
-    """The product-family pair with the radius generator chosen by identifier."""
-    return GeneratorPair(
-        g=algebraic_generator(),
-        h=algebraic_dual_generator(),
-        q=radius_generator(radius),
-    )
+    """The product-family pair; ``q`` is its ``g`` for ``"algebraic_q"``, its ``h`` for ``"algebraic_p"``."""
+    names = ("algebraic_q", "algebraic_p")
+    if radius not in names:
+        raise UnknownGenerator(f"unknown radius generator {_shown(radius)}; expected one of {names}")
+    g, h = algebraic_generator(), algebraic_dual_generator()
+    return GeneratorPair(g=g, h=h, q=g if radius == "algebraic_q" else h)
 
 
 def pythagorean_complement(a: float) -> float:
@@ -168,14 +152,14 @@ def tnorm_from_generator(gen: Generator) -> BinaryOp:
     """The t-norm T(x, y) = gen_inv(gen(x) + gen(y)) of a decreasing generator."""
     if gen.increasing:
         raise DomainError("tnorm_from_generator expects a decreasing generator")
-    return gen.combine
+    return lambda x, y: _weighted(gen, (x, y), (1.0, 1.0))
 
 
 def tconorm_from_generator(gen: Generator) -> BinaryOp:
     """The t-conorm induced by an increasing generator, same composition rule."""
     if not gen.increasing:
         raise DomainError("tconorm_from_generator expects an increasing generator")
-    return gen.combine
+    return lambda x, y: _weighted(gen, (x, y), (1.0, 1.0))
 
 
 def dual_tconorm(tnorm: BinaryOp) -> BinaryOp:

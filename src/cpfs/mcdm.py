@@ -104,14 +104,14 @@ class DecisionProblem:
         for name in ("alternatives", "criteria"):
             object.__setattr__(self, name, _labels(getattr(self, name), name, DimensionMismatch))
         object.__setattr__(self, "polarity", tuple(self.polarity))
+        if not self.alternatives:
+            raise EmptyInput("need at least one alternative", location="alternatives")
+        if not self.criteria:
+            raise EmptyInput("need at least one criterion", location="criteria")
+        if not self.mu:
+            raise EmptyInput("need at least one expert matrix", location="experts")
         if not isinstance(self.weights, WeightVector):
             object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))
-        if not self.alternatives:
-            raise EmptyInput("need at least one alternative")
-        if not self.criteria:
-            raise EmptyInput("need at least one criterion")
-        if not self.mu:
-            raise EmptyInput("need at least one expert matrix")
         if len(self.polarity) != len(self.criteria):
             raise LengthMismatch(f"got {len(self.polarity)} for {len(self.criteria)} criteria",
                                  location="polarity")

@@ -28,8 +28,9 @@ from cpfs import (
     dual_tconorm,
     format_fixed,
 )
-from cpfs.aggregation import _checked, _weighted
+from cpfs.aggregation import _checked
 from cpfs.algebra import _require_positive
+from cpfs.generators import _weighted
 from cpfs.rounding import require_precision
 from cpfs.serialize import result_to_dict
 from cpfs.values import _paired, _real, _shown
@@ -313,23 +314,32 @@ def reference_solve_tables(result, out: Path, precision: int = 2) -> None:
 
 # The product-side operations as they were written out before they were
 # derived from their sum-side duals through the complement; kept as the
-# references the derived forms must equal bit for bit.
+# references the derived forms must equal bit for bit.  ``_sum`` and ``_scaled``
+# write the generator formula out, so no reference shares it with the package.
+
+
+def _sum(gen, x, y) -> float:
+    return gen.inverse(gen.forward(x) + gen.forward(y))
+
+
+def _scaled(gen, lam, x) -> float:
+    return gen.inverse(lam * gen.forward(x))
 
 
 def reference_multiply(a, b, gens) -> CPFV:
     return CPFV(
-        gens.g.combine(a.mu, b.mu),
-        gens.h.combine(a.nu, b.nu),
-        gens.q.combine(a.r, b.r),
+        _sum(gens.g, a.mu, b.mu),
+        _sum(gens.h, a.nu, b.nu),
+        _sum(gens.q, a.r, b.r),
     )
 
 
 def reference_power(a, lam, gens) -> CPFV:
     lam = _require_positive(lam)
     return CPFV(
-        gens.g.scale(lam, a.mu),
-        gens.h.scale(lam, a.nu),
-        gens.q.scale(lam, a.r),
+        _scaled(gens.g, lam, a.mu),
+        _scaled(gens.h, lam, a.nu),
+        _scaled(gens.q, lam, a.r),
     )
 
 
@@ -356,18 +366,18 @@ def reference_multiply_general(a, b, tnorm, radius_op) -> CPFV:
 
 def reference_add(a, b, gens) -> CPFV:
     return CPFV(
-        gens.h.combine(a.mu, b.mu),
-        gens.g.combine(a.nu, b.nu),
-        gens.q.combine(a.r, b.r),
+        _sum(gens.h, a.mu, b.mu),
+        _sum(gens.g, a.nu, b.nu),
+        _sum(gens.q, a.r, b.r),
     )
 
 
 def reference_scalar_multiple(lam, a, gens) -> CPFV:
     lam = _require_positive(lam)
     return CPFV(
-        gens.h.scale(lam, a.mu),
-        gens.g.scale(lam, a.nu),
-        gens.q.scale(lam, a.r),
+        _scaled(gens.h, lam, a.mu),
+        _scaled(gens.g, lam, a.nu),
+        _scaled(gens.q, lam, a.r),
     )
 
 

@@ -17,10 +17,10 @@ from cpfs import (
     add_minmax,
     algebraic_dual_generator,
     algebraic_generator,
+    algebraic_pair,
     complexity_estimate,
     intersect,
     multiply_minmax,
-    radius_generator,
     tconorm_from_generator,
     tnorm_from_generator,
     union,
@@ -58,7 +58,7 @@ LONG_VALUES = {
     "PFV": lambda: PFV("x" * 100_000, 0.5),
     "WeightVector": lambda: WeightVector(("w" * 100_000,)),
     "complexity_estimate": lambda: complexity_estimate(-(10**5000), 5, 3),
-    "radius_generator": lambda: radius_generator(10**5000),
+    "algebraic_pair": lambda: algebraic_pair(10**5000),
     "add_minmax": lambda: add_minmax(A, A, 10**5000),
     "CPFS duplicate label": lambda: CPFS((("x" * 100_000, A), ("x" * 100_000, A))),
     "DecisionProblem duplicate label": lambda: DecisionProblem(

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cpfs import (
     GeneratorPair,
@@ -10,7 +11,6 @@ from cpfs import (
     algebraic_pair,
     dual_tconorm,
     pythagorean_complement,
-    radius_generator,
     tconorm_from_generator,
     tnorm_from_generator,
 )
@@ -78,6 +78,27 @@ class TestAlgebraicDualGenerator:
         grid = [i / 200.0 for i in range(201)]
         vals = [h.forward(t) for t in grid]
         assert all(x < y for x, y in zip(vals, vals[1:]))
+
+
+# Both zeros, both ends, the smallest subnormal and the float just below one.
+FORMULA_POINTS = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.5]
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.sampled_from(FORMULA_POINTS), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from(FORMULA_POINTS), st.floats(0.0, 1.0)),
+)
+@example(0.0, 0.3)  # g(0) = inf
+@example(1.0, 0.3)  # h(1) = inf
+@example(0.0, 1.0)  # one infinite forward value on each side
+@example(1.0, 1.0)  # g(1) = -0.0 twice
+@example(5e-324, 1 - 2**-53)
+def test_induced_operations_are_the_written_out_formula(x, y):
+    """Compared as ``float.hex``, so the sign of ``-0.0`` counts."""
+    g, h = algebraic_generator(), algebraic_dual_generator()
+    for op, gen in ((tnorm_from_generator(g), g), (tconorm_from_generator(h), h)):
+        assert op(x, y).hex() == gen.inverse(gen.forward(x) + gen.forward(y)).hex()
 
 
 class TestComplement:
@@ -201,12 +222,16 @@ class TestGeneratorPair:
 
 class TestRadiusGenerators:
     def test_registry(self):
-        assert radius_generator("algebraic_q").increasing is False
-        assert radius_generator("algebraic_p").increasing is True
+        # a built-in pair's radius generator is its own g or h
+        for pair in (algebraic_pair(), algebraic_pair("algebraic_q")):
+            assert pair.q is pair.g
+        pair = algebraic_pair("algebraic_p")
+        assert pair.q is pair.h
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownGenerator):
-            radius_generator("hamacher_q")
+        expected = r"^unknown radius generator 'hamacher_q'; expected one of \('algebraic_q', 'algebraic_p'\)$"
+        with pytest.raises(UnknownGenerator, match=expected):
+            algebraic_pair("hamacher_q")
 
     def test_pair_selection(self):
         assert algebraic_pair("algebraic_q").q.increasing is False

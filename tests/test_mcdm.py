@@ -127,8 +127,9 @@ class TestDecisionProblem:
         assert raised.value.location == "weights[0]"
 
     def test_no_experts_rejected(self):
-        with pytest.raises(EmptyInput, match="^need at least one expert matrix$"):
+        with pytest.raises(EmptyInput, match="^experts: need at least one expert matrix$") as raised:
             DecisionProblem(("A1",), ("C1",), ("benefit",), WeightVector.of(1.0), ())
+        assert raised.value.location == "experts"
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInput):

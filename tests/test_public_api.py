@@ -13,7 +13,7 @@ PUBLIC = [
     'DegenerateCenter', 'DimensionMismatch', 'DomainError', 'EmptyInput', 'Generator',
     'GeneratorPair', 'IDEAL', 'InvalidWeights', 'LengthMismatch', 'MAX_PRECISION',
     'NonPositiveScalar', 'OPERATOR_NAMES', 'OutOfRange', 'PFV', 'ParseError',
-    'PipelineResult', 'RADIUS_GENERATOR_NAMES', 'RadiusOutOfRange', 'Ranking',
+    'PipelineResult', 'RadiusOutOfRange', 'Ranking',
     'RankingEntry', 'UNIT_SLACK', 'UniverseMismatch', 'UnknownGenerator', 'UnknownOperator',
     'WEIGHT_SUM_TOL', 'WeightVector', '__version__', 'add', 'add_general', 'add_minmax',
     'algebraic_dual_generator', 'algebraic_generator', 'algebraic_pair',
@@ -21,7 +21,7 @@ PUBLIC = [
     'complexity_estimate', 'complexity_sweep', 'cpwa', 'cpwg', 'csm', 'csm_to_ideal',
     'dual_tconorm', 'equal', 'format_fixed', 'fuse', 'intersect', 'load_case_study',
     'make_operator', 'multiply', 'multiply_general', 'multiply_minmax',
-    'normalize', 'power', 'pythagorean_complement', 'radius_generator', 'round_half_up',
+    'normalize', 'power', 'pythagorean_complement', 'round_half_up',
     'scalar_multiple', 'solve', 'subset', 'tconorm_from_generator', 'tnorm_from_generator',
     'union',
 ]  # fmt: skip

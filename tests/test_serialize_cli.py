@@ -167,6 +167,27 @@ class TestParseProblem:
             with pytest.raises(ParseError, match=message):
                 parse_problem(form)
 
+    @pytest.mark.parametrize(
+        "changes, location, message",
+        [
+            ({"alternatives": [], "experts": [[]]}, "alternatives", "need at least one alternative"),
+            ({"alternatives": ["A1"], "criteria": [], "polarity": [], "experts": [[[]]]}, "criteria",
+             "need at least one criterion"),
+            ({"experts": []}, "experts", "need at least one expert matrix"),
+        ],
+        ids=["alternatives", "criteria", "experts"],
+    )
+    def test_an_empty_dimension_is_located_before_the_weights(self, tmp_path, capsys, changes, location, message):
+        # the weights are empty too: the empty dimension is what is reported
+        doc = {**minimal_doc(), "weights": [], **changes}
+        with pytest.raises(ParseError, match=f"^{location}: {message}$") as raised:
+            parse_problem(doc)
+        assert raised.value.location == location
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {location}: {message}\n"
+
     def test_integer_literal_over_the_digit_limit(self):
         text = json.dumps(minimal_doc()).replace("0.6,", "1" * 5000 + ",", 1)
         with pytest.raises(ParseError, match="invalid JSON"):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,11 +23,6 @@ from cpfs import (
 )
 from cpfs.values import _require_component
 from helpers import grow, make_rng, sample_cpfv
-
-try:
-    import numpy
-except ImportError:  # numpy is optional; its float64 is one more float subclass
-    numpy = None
 
 
 def set_a():
@@ -171,7 +167,8 @@ UNIT_EDGE_INPUTS = [
     math.nan, math.inf, -math.inf,
     math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
     5e-324, 2.2250738585072014e-308 / 2,
-] + ([numpy.float64(0.25), numpy.float64(1.5), numpy.float64(-0.0)] if numpy else [])
+    numpy.float64(0.25), numpy.float64(1.5), numpy.float64(-0.0),  # one more float subclass
+]
 
 
 class TestConstructorsCheckAsBefore:
