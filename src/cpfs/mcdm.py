@@ -75,14 +75,22 @@ class DecisionProblem:
         n, k = len(alternatives), len(criteria)
         cells = []
         for e, matrix in enumerate(experts):
-            rows = [tuple(row) for row in matrix]
+            where = f"experts[{e}]"
+            matrix = _items(matrix, where)
+            try:
+                rows = [tuple(row) for row in matrix]
+            except TypeError:  # raised again unless a row is not iterable
+                for i, row in enumerate(matrix):
+                    _items(row, f"{where}[{i}]")
+                raise
             if len(rows) != n or any(len(row) != k for row in rows):
-                raise DimensionMismatch(
-                    f"expert matrix {e} does not match shape {n} alternatives x {k} criteria"
-                )
-            for row in rows:
+                raise DimensionMismatch(f"expert matrix {e} does not match shape {n} alternatives x {k} criteria",
+                                        location=where)
+            for i, row in enumerate(rows):
                 if not all(isinstance(cell, PFV) for cell in row):
-                    raise DimensionMismatch(f"expert matrix {e} contains a non-PFV cell")
+                    j = next(j for j, cell in enumerate(row) if not isinstance(cell, PFV))
+                    raise DimensionMismatch(f"expert matrix {e} contains a non-PFV cell",
+                                            location=f"{where}[{i}][{j}]")
                 cells += row
         self._set(alternatives, criteria, polarity, weights,
                   array("d", [c.mu for c in cells]), array("d", [c.nu for c in cells]))
@@ -138,6 +146,15 @@ class DecisionProblem:
 
 
 _FIELDS = tuple(f.name for f in fields(DecisionProblem))
+
+
+def _items(node: object, where: str) -> tuple:
+    """``tuple(node)``, or :class:`DimensionMismatch` at ``where`` if ``node`` is not iterable."""
+    try:
+        items = iter(node)
+    except TypeError:
+        raise DimensionMismatch(f"expected a sequence, got {type(node).__name__}", location=where) from None
+    return tuple(items)
 
 
 @dataclass(frozen=True, slots=True)

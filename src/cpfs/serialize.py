@@ -20,6 +20,10 @@ other key is allowed::
 
     {"operator": "cpwa_q", "precision": 2, "aggregate_precision": 2}
 
+A problem's cells are checked one expert matrix at a time in whole-matrix
+passes, and a matrix they do not take is read again cell by cell.  Each
+parser pauses the cyclic garbage collector until it returns.
+
 Errors carry their document path as ``location`` (e.g. ``experts[1][2][0]``)
 and the document's name as ``source``.  All CSV output is deterministic: fixed
 column order, fixed half-up decimal formatting, ``\n`` line endings.
@@ -27,10 +31,12 @@ column order, fixed half-up decimal formatting, ``\n`` line endings.
 
 from __future__ import annotations
 
+import gc
 import json
 from array import array
 from contextlib import contextmanager
-from itertools import product
+from functools import wraps
+from itertools import chain, product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -38,7 +44,7 @@ from .aggregation import _operator_name
 from .errors import CircularFuzzyError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
 from .rounding import format_fixed, require_precision
-from .values import PFV, _label, _require_point, _shown
+from .values import PFV, _label, _points_pass, _require_point, _shown
 
 __all__ = [
     "parse_problem",
@@ -68,6 +74,21 @@ def _decoded(document: str | dict, source: str | None) -> Iterator[Any]:
     except ParseError as err:
         err.source = source
         raise
+
+
+def _collector_paused(parse: Callable[..., Any]) -> Callable[..., Any]:
+    """``parse``, run with the cyclic garbage collector paused until it returns, since
+    a decoded document holds no cycles; a caller that disabled the collector keeps it so."""
+    @wraps(parse)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _load(parse: Callable[[str, str], Any], path: str | Path) -> Any:
@@ -113,23 +134,19 @@ def _as_label(node: Any, where: str) -> str:
     return _located(where, _label, node)
 
 
-def _as_pair(node: Any, where: Callable[[], str]) -> list | tuple:
+def _as_pair(node: Any, where: Callable[[], str]) -> tuple[float, float]:
     """The floats ``mu, nu`` of a ``[mu, nu]`` cell of a point value; ``where()``
     names the cell in an error."""
-    # A pair of exact floats skips the list and number checks: float(x) is x.
-    if type(node) is list and len(node) == 2 and type(node[0]) is float and type(node[1]) is float:
-        pair = node
-    else:
-        items = _as_list(node, where())
-        if len(items) != 2:
-            raise ParseError(f"expected a [mu, nu] pair, got {len(items)} items", location=where())
-        for k, x in enumerate(items):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]")
-        try:
-            pair = float(items[0]), float(items[1])
-        except OverflowError as err:  # an integer beyond the float range
-            raise ParseError(str(err), location=where()) from err
+    items = _as_list(node, where())
+    if len(items) != 2:
+        raise ParseError(f"expected a [mu, nu] pair, got {len(items)} items", location=where())
+    for k, x in enumerate(items):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]")
+    try:
+        pair = float(items[0]), float(items[1])
+    except OverflowError as err:  # an integer beyond the float range
+        raise ParseError(str(err), location=where()) from err
     try:  # run per cell, so inline rather than through _located
         _require_point(*pair)
     except CircularFuzzyError as err:
@@ -137,6 +154,20 @@ def _as_pair(node: Any, where: Callable[[], str]) -> list | tuple:
     return pair
 
 
+def _columns(matrix: Any, n: int, k: int) -> tuple[list, list] | None:
+    """The ``mu`` and ``nu`` components of an expert matrix that is a list of ``n`` rows of
+    ``k`` ``[mu, nu]`` lists of floats passing the point rule, by whole-matrix passes; else ``None``."""
+    if type(matrix) is not list or {*map(type, matrix)} != {list} or list(map(len, matrix)) != [k] * n:
+        return None
+    cells = list(chain.from_iterable(matrix))
+    if {*map(type, cells)} != {list} or {*map(len, cells)} != {2}:
+        return None
+    components = list(chain.from_iterable(cells))
+    xs, ys = components[0::2], components[1::2]
+    return (xs, ys) if {*map(type, components)} == {float} and _points_pass(xs, ys) else None
+
+
+@_collector_paused
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
     """Parse and validate a problem document (JSON text or an already-loaded dict)."""
     with _decoded(document, source) as data:
@@ -155,10 +186,15 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         polarity = _as_list(data["polarity"], "polarity")
         weights = _as_list(data["weights"], "weights")
 
-        # The cells go straight into the problem's columns; see DecisionProblem.
+        # The cells go straight into the problem's columns; see DecisionProblem.  A matrix
+        # the whole-matrix pass does not take is read again cell by cell, to locate its error.
         mu, nu = array("d"), array("d")
         n, k = len(alternatives), len(criteria)
         for e, matrix in enumerate(_as_list(data["experts"], "experts")):
+            if columns := _columns(matrix, n, k):
+                mu.fromlist(columns[0])
+                nu.fromlist(columns[1])
+                continue
             for i, row in enumerate(_as_list(matrix, f"experts[{e}]", n, "alternative")):
                 for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", k, "criterion")):
                     x, y = _as_pair(cell, lambda: f"experts[{e}][{i}][{j}]")
@@ -192,6 +228,7 @@ def dump_problem(problem: DecisionProblem) -> str:
     return json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
 
 
+@_collector_paused
 def parse_collections(document: str | dict, source: str | None = None) -> list[tuple[str, list[PFV]]]:
     """Parse a collections document into ``(label, point values)`` rows."""
     with _decoded(document, source) as data:
@@ -223,6 +260,7 @@ _CONFIG_CHECKS = {"operator": _operator_name, "precision": require_precision,
                   "aggregate_precision": require_precision}
 
 
+@_collector_paused
 def parse_config(document: str | dict, source: str | None = None) -> dict:
     """Parse and validate a ``solve`` config document.
 

@@ -194,15 +194,21 @@ class CPFV:
         return CPFV(self.nu, self.mu, self.r)
 
 
+def _points_pass(mu: Sequence[float], nu: Sequence[float], *more: Sequence[float]) -> bool:
+    """The column point rule: whether each cell of the non-empty float columns ``mu``, ``nu`` passes
+    :func:`_require_point`, by its float expression, and each column of ``more`` lies in [0, 1]."""
+    # A NaN can hide from min() and max(), but not from sum().
+    squares = map(add, map(mul, mu, mu), map(mul, nu, nu))
+    return max(squares) <= 1.0 + UNIT_SLACK and all(
+        0.0 <= min(c) and max(c) <= 1.0 and not math.isnan(sum(c)) for c in (mu, nu, *more)
+    )
+
+
 def _require_circles(mu: Sequence[float], nu: Sequence[float], r: Sequence[float],
                      where: Callable[[int], str | None] = lambda c: None) -> None:
     """The check of :class:`CPFV` on each cell of non-empty float columns, in whole-column passes;
     the first cell ``c`` that fails is built as a :class:`CPFV`, to raise its error at ``where(c)``."""
-    # A NaN can hide from min() and max(), but not from sum().
-    squares = map(add, map(mul, mu, mu), map(mul, nu, nu))
-    if max(squares) <= 1.0 + UNIT_SLACK and all(
-        0.0 <= min(c) and max(c) <= 1.0 and not math.isnan(sum(c)) for c in (mu, nu, r)
-    ):
+    if _points_pass(mu, nu, r):
         return
     for c, cell in enumerate(zip(mu, nu, r)):
         try:

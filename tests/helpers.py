@@ -49,6 +49,7 @@ __all__ = [
     "reference_fuse",
     "reference_normalize",
     "reference_cell",
+    "reference_columns",
     "reference_solve_tables",
     "reference_round_half_up",
     "reference_format_fixed",
@@ -198,8 +199,8 @@ def reference_normalize(problem):
 def reference_cell(node, where: str) -> PFV:
     """The point value of a problem cell, with every check on every cell.
 
-    The cell checks ``parse_problem`` made before its fast path for pairs of
-    floats; kept as the reference its results and errors must equal.
+    Every check ``parse_problem`` and ``parse_collections`` make on a cell;
+    kept as the reference their results and errors must equal.
     """
     if not isinstance(node, list):
         raise ParseError(f"expected a list, got {type(node).__name__}", location=where)
@@ -212,6 +213,30 @@ def reference_cell(node, where: str) -> PFV:
         return PFV(float(node[0]), float(node[1]))
     except CircularFuzzyError as err:
         raise ParseError(str(err), location=where) from err
+
+
+def reference_columns(experts, n: int, k: int) -> tuple[list[float], list[float]]:
+    """The ``mu`` and ``nu`` columns of a problem document's ``experts`` node for
+    ``n`` alternatives and ``k`` criteria, every node checked in document order.
+
+    The loop ``parse_problem`` ran on every document before its whole-matrix
+    pass; kept as the reference its columns and located errors must equal.
+    """
+    def as_list(node, where, count=None, per=""):
+        if not isinstance(node, list):
+            raise ParseError(f"expected a list, got {type(node).__name__}", location=where)
+        if count is not None and len(node) != count:
+            raise ParseError(f"expected {count} items, one per {per}, got {len(node)}", location=where)
+        return node
+
+    mu, nu = [], []
+    for e, matrix in enumerate(as_list(experts, "experts")):
+        for i, row in enumerate(as_list(matrix, f"experts[{e}]", n, "alternative")):
+            for j, cell in enumerate(as_list(row, f"experts[{e}][{i}]", k, "criterion")):
+                point = reference_cell(cell, f"experts[{e}][{i}][{j}]")
+                mu.append(point.mu)
+                nu.append(point.nu)
+    return mu, nu
 
 
 def _reference_quantized(x, digits: int) -> Decimal:

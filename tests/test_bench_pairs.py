@@ -125,6 +125,32 @@ def test_a_pair_count_below_one_is_a_usage_error(bench_pairs, pairs, capsys):
     assert "--pairs" in capsys.readouterr().err
 
 
+def main_up_to_export(bench_pairs, monkeypatch, claim):
+    """``main`` with ``--claim claim``, stopped where it would export the parent revision."""
+    def stop(revision, into):
+        raise RuntimeError("export")
+
+    monkeypatch.setattr(bench_pairs, "export", stop)
+    bench_pairs.main(["--parent", "HEAD", "--workload", "tall", "--seed", "1",
+                      "--out", "unused.json", "--claim", claim])
+
+
+@pytest.mark.parametrize("claim", ["solve_p50_ms", "panel/", "panel/nope", "nope/solve_p50_ms",
+                                   "panel/serialize.parse_ms", "panel/solve_p50_ms/x", ""])
+def test_a_claim_not_naming_a_workload_and_end_to_end_metric_is_a_usage_error(
+        bench_pairs, monkeypatch, capsys, claim):
+    with pytest.raises(SystemExit) as raised:
+        main_up_to_export(bench_pairs, monkeypatch, claim)
+    assert raised.value.code == 2
+    assert "--claim must be one of case_study/setup_s, " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim", ["panel/solve_p50_ms", "tall/peak_rss_mb", "case_study/cells_per_s"])
+def test_a_valid_claim_reaches_the_runs(bench_pairs, monkeypatch, claim):
+    with pytest.raises(RuntimeError, match="export"):
+        main_up_to_export(bench_pairs, monkeypatch, claim)
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_each_committed_bench_file_is_laid_out_by_dumps(bench_pairs, path):
     text = path.read_text(encoding="utf-8")

@@ -6,12 +6,16 @@ rule; its files must equal those of a writer that formats every cell and
 writes every row through ``csv.writer``, whatever the labels hold, and its
 ``result.json``, written in chunks with each list of numbers laid out by
 plain formatting (a float's repr, or one template per ``[mu, nu, r]``
-triple), must equal ``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem`` and
-``parse_collections`` take pairs of floats without the per-item checks; they
-must accept and reject the same documents, with the same values and the same
-located errors, as a parser that checks every cell.
+triple), must equal ``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem``
+checks a document's cells one expert matrix at a time in whole-matrix passes,
+and reads a document that fails them again cell by cell; it and
+``parse_collections`` must accept and reject the same documents, with the same
+values and the same located errors, as a parser that checks every node in
+document order.  Every parser pauses the cyclic garbage collector while it
+runs and leaves it as it found it.
 """
 
+import gc
 import json
 import math
 import tempfile
@@ -33,10 +37,18 @@ from cpfs import (
     load_case_study,
     solve,
 )
+from cpfs import serialize
 from cpfs.fusion import CircularMatrix
-from cpfs.serialize import _indented, parse_collections, parse_problem, result_to_dict, write_solve_tables
+from cpfs.serialize import (
+    _indented,
+    parse_collections,
+    parse_config,
+    parse_problem,
+    result_to_dict,
+    write_solve_tables,
+)
 from cpfs.values import CPFVRow
-from helpers import perfbench_gen, reference_cell, reference_solve_tables
+from helpers import perfbench_gen, reference_cell, reference_columns, reference_solve_tables
 
 # Repeats, both zeros, half-up ties at two and three decimals, and a value
 # that is 0 at every precision but not zero.
@@ -233,3 +245,156 @@ def test_json_negative_zero_keeps_its_sign():
     assert "-0.0" in doc
     cell = parse_problem(doc).experts[1][1][1]
     assert math.copysign(1.0, cell.nu) == -1.0
+
+
+class ListSub(list):
+    pass
+
+
+# Cells at the edges of the point rule: NaN, the infinities, the smallest
+# subnormal, a point on the unit circle, and the pair with the largest nu the
+# slack admits next to the same pair with nu one float higher.
+SLACK_LIMIT = [0.7121589030173542, 0.7020183030755814]
+EDGE_CELLS = [
+    [math.nan, 0.5], [0.5, math.nan], [math.inf, 0.0], [0.0, -math.inf], [5e-324, 5e-324],
+    [1.0, 5e-324], [-0.0, 1.0], [0.8, 0.6], SLACK_LIMIT, [SLACK_LIMIT[0], math.nextafter(SLACK_LIMIT[1], 1)],
+]
+float_cells = st.one_of(
+    st.sampled_from([[0.5, 0.5], [-0.0, 0.25], [1.0, 0.0], SLACK_LIMIT]),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).filter(lambda c: c[0] * c[0] + c[1] * c[1] <= 1.0),
+)
+
+
+def misshapen(items: list):
+    """``items`` (a matrix or a row) one item short or long, as a tuple or a list subclass, or not a list."""
+    return st.sampled_from([items[:-1], items + items[-1:], tuple(items), ListSub(items), None, 0.5, "x", {}])
+
+
+@st.composite
+def problem_documents(draw):
+    """``(document, n, k)``: a problem document of ``n`` alternatives and ``k`` criteria,
+    its matrices of float cells, with up to three cells, rows or matrices replaced by
+    odd ones; cells first, so that a later replacement holds an earlier one, and each
+    row or matrix at most once."""
+    m, n, k = (draw(st.integers(1, 3)) for _ in range(3))
+    experts = [[[draw(float_cells) for _ in range(k)] for _ in range(n)] for _ in range(m)]
+    places = [(draw(st.integers(1, 3)), draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1)),
+               draw(st.integers(0, k - 1))) for _ in range(draw(st.integers(0, 3)))]
+    for level, e, i, j in sorted(places, reverse=True):
+        if level == 3:
+            experts[e][i][j] = draw(st.sampled_from(CELL_POOL + EDGE_CELLS))
+        elif level == 2 and type(experts[e][i]) is list:
+            experts[e][i] = draw(misshapen(experts[e][i]))
+        elif level == 1 and type(experts[e]) is list:
+            experts[e] = draw(misshapen(experts[e]))
+    doc = {
+        "alternatives": [f"A{i}" for i in range(n)],
+        "criteria": [f"C{j}" for j in range(k)],
+        "polarity": ["benefit"] * k,
+        "weights": [1.0] + [0.0] * (k - 1),
+        "experts": experts,
+    }
+    return doc, n, k
+
+
+def columns_or_error(parse):
+    """``float.hex`` of every component ``parse()`` gives, so the sign of ``-0.0``
+    counts, or the message and location of its error."""
+    try:
+        mu, nu = parse()
+    except ParseError as err:
+        return err.args[0], err.location
+    return list(map(float.hex, mu)), list(map(float.hex, nu))
+
+
+def parsed_columns(document):
+    problem = parse_problem(document)
+    return problem.mu, problem.nu
+
+
+def last_cell(cell):
+    """A 3 x 2 x 2 document of float cells whose last cell is ``cell``."""
+    doc = {"alternatives": ["A1", "A2"], "criteria": ["C1", "C2"], "polarity": ["benefit"] * 2,
+           "weights": [0.5, 0.5], "experts": [[[[0.5, 0.25], [-0.0, 0.5]]] * 2] * 3}
+    doc["experts"] = json.loads(json.dumps(doc["experts"]))
+    doc["experts"][2][1][1] = cell
+    return doc, 2, 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem_documents())
+@example(last_cell([1, 0]))
+@example(last_cell(EDGE_CELLS[-1]))
+@example(({"alternatives": ["A1"], "criteria": ["C1", "C2"], "polarity": ["benefit"] * 2,
+           "weights": [0.5, 0.5], "experts": [[[SLACK_LIMIT, SLACK_LIMIT[::-1]]]] * 2}, 1, 2))
+def test_parse_matches_a_parser_that_walks_every_node(case):
+    doc, n, k = case
+    want = columns_or_error(lambda: reference_columns(doc["experts"], n, k))
+    assert columns_or_error(lambda: parsed_columns(doc)) == want
+    text = json.dumps(doc)
+    assert columns_or_error(lambda: parsed_columns(text)) == columns_or_error(
+        lambda: reference_columns(json.loads(text)["experts"], n, k))
+
+
+@pytest.fixture
+def boundary_text(monkeypatch):
+    """A benchmark document, 3 x 300 x 5 with boundary cells, as JSON text."""
+    gen = perfbench_gen(monkeypatch)
+    return json.dumps(gen.generate(gen.Params(3, 300, 5, boundary_frac=0.1), 0))
+
+
+def test_a_valid_document_skips_the_per_cell_loop(boundary_text, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cell was read one at a time")
+
+    monkeypatch.setattr(serialize, "_as_pair", refuse)
+    assert parse_problem(boundary_text).shape == (3, 300, 5)
+    assert load_case_study().shape == (3, 5, 5)
+
+
+def test_a_parse_runs_no_collection(boundary_text):
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        parse_problem(boundary_text)
+    finally:
+        gc.callbacks.remove(hook)
+        if not enabled:
+            gc.disable()
+    assert started == []
+
+
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+PARSER_CASES = {
+    parse_problem: {"success": json.dumps(last_cell([1, 0])[0]),
+                    "value error": '{"alternatives": ["A"], "criteria": ["C"], "polarity": ["cost"], '
+                                  '"weights": [1.0], "experts": [[[[0.9, 0.9]]]]}'},
+    parse_collections: {"success": '{"elements": [{"values": [[0.5, 0.5]]}]}',
+                        "value error": '{"elements": [{"values": [[1.5, 0.0]]}]}'},
+    parse_config: {"success": '{"precision": 3}', "value error": '{"precision": -1}'},
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("case", ["success", "invalid JSON", "too deep", "value error"])
+@pytest.mark.parametrize("parse", list(PARSER_CASES), ids=lambda f: f.__name__)
+def test_each_parser_leaves_the_collector_as_it_found_it(parse, case, enabled):
+    text = {"invalid JSON": "{", "too deep": TOO_DEEP}.get(case) or PARSER_CASES[parse][case]
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "success":
+            parse(text)
+        else:
+            with pytest.raises(ParseError):
+                parse(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()

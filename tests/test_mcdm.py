@@ -76,6 +76,30 @@ class TestDecisionProblem:
                 experts=(ok, bad),
             )
 
+    P = PFV(0.5, 0.5)
+
+    @pytest.mark.parametrize("experts, message, location", [
+        ([5], "expected a sequence, got int", "experts[0]"),
+        ([[[P, P], [P, P]], None], "expected a sequence, got NoneType", "experts[1]"),
+        ([[[P, P], 5]], "expected a sequence, got int", "experts[0][1]"),
+        ([[[P, P], [P, P]], [[P, P]]],
+         "expert matrix 1 does not match shape 2 alternatives x 2 criteria", "experts[1]"),
+        ([[[P, P], [P]]], "expert matrix 0 does not match shape 2 alternatives x 2 criteria", "experts[0]"),
+        ([[[P, P], [P, P]], [[P, P], [P, (0.5, 0.5)]]],
+         "expert matrix 1 contains a non-PFV cell", "experts[1][1][1]"),
+    ], ids=["matrix not iterable", "later matrix None", "row not iterable", "rows missing",
+            "row short", "cell not a PFV"])
+    def test_a_malformed_expert_matrix_is_located(self, experts, message, location):
+        with pytest.raises(DimensionMismatch) as raised:
+            DecisionProblem(("A1", "A2"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5), experts)
+        assert (raised.value.args[0], raised.value.location) == (message, location)
+
+    def test_a_type_error_inside_a_row_is_not_taken_for_a_shape_error(self):
+        row = (None + x for x in (1, 2))  # iterable, but iterating it raises TypeError
+        with pytest.raises(TypeError, match="unsupported operand"):
+            DecisionProblem(("A1", "A2"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5),
+                            [[(self.P, self.P), row]])
+
     def test_a_repeated_label_is_named(self):
         cells = ((PFV(0.5, 0.5),) * 2,) * 2
         message = "^alternatives: labels must be unique, 'A1' repeats$"

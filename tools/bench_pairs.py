@@ -1,7 +1,8 @@
 """Benchmark this checkout against a parent revision in alternating pairs.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload panel --workload tall \
-        --pairs 10 --seconds 20 --seed 700 --out BENCH_7.json --change "what changed"
+        --pairs 10 --seconds 20 --seed 700 --out BENCH_7.json --change "what changed" \
+        --claim tall/solve_p50_ms
 
 The parent revision's committed files are exported (``git archive``) into a
 temporary directory, and the change side is a copy, in another, of this
@@ -125,6 +126,11 @@ def dumps(doc: dict) -> str:
     return text.replace('\n "pairs": [],', f'\n "pairs": [\n  {pairs}\n ],', 1) + "\n"
 
 
+def claims(benchmark: dict) -> list[str]:
+    """Every claim a run may state: ``WORKLOAD/METRIC``, for each workload and end-to-end metric."""
+    return [f"{w['name']}/{m['name']}" for w in benchmark["workloads"] for m in benchmark["end_to_end"]]
+
+
 def pair_count(text: str) -> int:
     """``text`` as a pair count, an integer of at least 1; an argparse type."""
     value = int(text)
@@ -142,10 +148,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True, help="e.g. BENCH_7.json")
     parser.add_argument("--change", default="", help="one line on what the change does")
-    parser.add_argument("--claim", default=None, help="the metric the change claims to improve")
+    parser.add_argument("--claim", default=None,
+                        help="the end-to-end metric the change claims to improve, as WORKLOAD/METRIC")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.claim is not None and args.claim not in claims(benchmark):
+        parser.error(f"--claim must be one of {', '.join(claims(benchmark))}; got {args.claim!r}")
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp_parent, \
