@@ -28,7 +28,8 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Literal, Sequence
+from itertools import chain, repeat
+from typing import Iterator, Literal, Sequence
 
 from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
 from .errors import CircularFuzzyError, DimensionMismatch, DomainError, EmptyInput, LengthMismatch
@@ -76,22 +77,21 @@ class DecisionProblem:
         cells = []
         for e, matrix in enumerate(experts):
             where = f"experts[{e}]"
-            matrix = _items(matrix, where)
+            matrix, rows = tuple(_iterable(matrix, where)), []
             try:
-                rows = [tuple(row) for row in matrix]
-            except TypeError:  # raised again unless a row is not iterable
-                for i, row in enumerate(matrix):
-                    _items(row, f"{where}[{i}]")
+                rows += map(tuple, matrix)
+            except TypeError:  # raised again unless the row it stopped at is not iterable
+                _iterable(matrix[len(rows)], f"{where}[{len(rows)}]")
                 raise
             if len(rows) != n or any(len(row) != k for row in rows):
                 raise DimensionMismatch(f"expert matrix {e} does not match shape {n} alternatives x {k} criteria",
                                         location=where)
-            for i, row in enumerate(rows):
-                if not all(isinstance(cell, PFV) for cell in row):
-                    j = next(j for j, cell in enumerate(row) if not isinstance(cell, PFV))
-                    raise DimensionMismatch(f"expert matrix {e} contains a non-PFV cell",
-                                            location=f"{where}[{i}][{j}]")
-                cells += row
+            is_pfv = [*map(isinstance, chain.from_iterable(rows), repeat(PFV))]
+            if not all(is_pfv):
+                c = is_pfv.index(False)
+                raise DimensionMismatch(f"expert matrix {e} contains a non-PFV cell",
+                                        location=f"{where}[{c // k}][{c % k}]")
+            cells += chain.from_iterable(rows)
         self._set(alternatives, criteria, polarity, weights,
                   array("d", [c.mu for c in cells]), array("d", [c.nu for c in cells]))
 
@@ -148,13 +148,12 @@ class DecisionProblem:
 _FIELDS = tuple(f.name for f in fields(DecisionProblem))
 
 
-def _items(node: object, where: str) -> tuple:
-    """``tuple(node)``, or :class:`DimensionMismatch` at ``where`` if ``node`` is not iterable."""
+def _iterable(node: object, where: str) -> Iterator:
+    """``iter(node)``, or :class:`DimensionMismatch` at ``where`` if ``node`` is not iterable."""
     try:
-        items = iter(node)
+        return iter(node)
     except TypeError:
         raise DimensionMismatch(f"expected a sequence, got {type(node).__name__}", location=where) from None
-    return tuple(items)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,7 @@ other key is allowed::
 
 A problem's cells are checked one expert matrix at a time in whole-matrix
 passes, and a matrix they do not take is read again cell by cell.  Each
-parser pauses the cyclic garbage collector until it returns.
+parser pauses the cyclic garbage collector, process-wide, until it returns.
 
 Errors carry their document path as ``location`` (e.g. ``experts[1][2][0]``)
 and the document's name as ``source``.  All CSV output is deterministic: fixed
@@ -35,7 +35,6 @@ import gc
 import json
 from array import array
 from contextlib import contextmanager
-from functools import wraps
 from itertools import chain, product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -76,19 +75,17 @@ def _decoded(document: str | dict, source: str | None) -> Iterator[Any]:
         raise
 
 
-def _collector_paused(parse: Callable[..., Any]) -> Callable[..., Any]:
-    """``parse``, run with the cyclic garbage collector paused until it returns, since
-    a decoded document holds no cycles; a caller that disabled the collector keeps it so."""
-    @wraps(parse)
-    def paused(*args: Any, **kwargs: Any) -> Any:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return parse(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector paused, as a decorator of a parser, until the parser returns,
+    since the decoded tree holds no cycles; a caller that disabled the collector keeps it so."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load(parse: Callable[[str, str], Any], path: str | Path) -> Any:
@@ -134,23 +131,19 @@ def _as_label(node: Any, where: str) -> str:
     return _located(where, _label, node)
 
 
-def _as_pair(node: Any, where: Callable[[], str]) -> tuple[float, float]:
-    """The floats ``mu, nu`` of a ``[mu, nu]`` cell of a point value; ``where()``
-    names the cell in an error."""
-    items = _as_list(node, where())
+def _as_pair(node: Any, where: str) -> tuple[float, float]:
+    """The floats ``mu, nu`` of a ``[mu, nu]`` cell of a point value at ``where``."""
+    items = _as_list(node, where)
     if len(items) != 2:
-        raise ParseError(f"expected a [mu, nu] pair, got {len(items)} items", location=where())
+        raise ParseError(f"expected a [mu, nu] pair, got {len(items)} items", location=where)
     for k, x in enumerate(items):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where()}[{k}]")
+            raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where}[{k}]")
     try:
         pair = float(items[0]), float(items[1])
     except OverflowError as err:  # an integer beyond the float range
-        raise ParseError(str(err), location=where()) from err
-    try:  # run per cell, so inline rather than through _located
-        _require_point(*pair)
-    except CircularFuzzyError as err:
-        raise ParseError(str(err), location=where()) from err
+        raise ParseError(str(err), location=where) from err
+    _located(where, _require_point, *pair)
     return pair
 
 
@@ -167,9 +160,10 @@ def _columns(matrix: Any, n: int, k: int) -> tuple[list, list] | None:
     return (xs, ys) if {*map(type, components)} == {float} and _points_pass(xs, ys) else None
 
 
-@_collector_paused
+@_collector_paused()
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
-    """Parse and validate a problem document (JSON text or an already-loaded dict)."""
+    """Parse and validate a problem document (JSON text or an already-loaded dict).
+    The cyclic garbage collector is paused, process-wide, until it returns."""
     with _decoded(document, source) as data:
         if not isinstance(data, dict):
             raise ParseError("top level must be an object")
@@ -197,7 +191,7 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
                 continue
             for i, row in enumerate(_as_list(matrix, f"experts[{e}]", n, "alternative")):
                 for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", k, "criterion")):
-                    x, y = _as_pair(cell, lambda: f"experts[{e}][{i}][{j}]")
+                    x, y = _as_pair(cell, f"experts[{e}][{i}][{j}]")
                     mu.append(x)
                     nu.append(y)
 
@@ -228,9 +222,10 @@ def dump_problem(problem: DecisionProblem) -> str:
     return json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
 
 
-@_collector_paused
+@_collector_paused()
 def parse_collections(document: str | dict, source: str | None = None) -> list[tuple[str, list[PFV]]]:
-    """Parse a collections document into ``(label, point values)`` rows."""
+    """Parse a collections document into ``(label, point values)`` rows.
+    The cyclic garbage collector is paused, process-wide, until it returns."""
     with _decoded(document, source) as data:
         if not isinstance(data, dict) or "elements" not in data:
             raise ParseError("top level must be an object with an 'elements' field")
@@ -243,8 +238,10 @@ def parse_collections(document: str | dict, source: str | None = None) -> list[t
                 raise ParseError("expected an object with a 'values' field", location=where)
             _known_keys(element, ("label", "values"), f"{where}.")
             label = _as_label(element.get("label", f"x{i + 1}"), f"{where}.label")
-            values = [PFV(*_as_pair(cell, lambda: f"{where}.values[{j}]"))
-                      for j, cell in enumerate(_as_list(element["values"], f"{where}.values"))]
+            values = _as_list(element["values"], f"{where}.values")
+            columns = _columns([values], 1, len(values))  # a list of one row
+            values = (list(map(PFV, *columns)) if columns else
+                      [PFV(*_as_pair(cell, f"{where}.values[{j}]")) for j, cell in enumerate(values)])
             if not values:
                 raise ParseError("collection must be non-empty", location=f"{where}.values")
             out.append((label, values))
@@ -260,7 +257,7 @@ _CONFIG_CHECKS = {"operator": _operator_name, "precision": require_precision,
                   "aggregate_precision": require_precision}
 
 
-@_collector_paused
+@_collector_paused()
 def parse_config(document: str | dict, source: str | None = None) -> dict:
     """Parse and validate a ``solve`` config document.
 
@@ -268,7 +265,8 @@ def parse_config(document: str | dict, source: str | None = None) -> dict:
     ``q``/``p``, ``precision`` an integer from 0 to
     :data:`~cpfs.rounding.MAX_PRECISION` and ``aggregate_precision`` such an
     integer or ``null``.  Returns the keys the document sets, with their values
-    as given (``"q"`` stays ``"q"``); any other key is an error.
+    as given (``"q"`` stays ``"q"``); any other key is an error.  The cyclic
+    garbage collector is paused, process-wide, until it returns.
     """
     with _decoded(document, source) as data:
         if not isinstance(data, dict):

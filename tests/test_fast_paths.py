@@ -34,6 +34,7 @@ from cpfs import (
     PipelineResult,
     Ranking,
     WeightVector,
+    collections_path,
     load_case_study,
     solve,
 )
@@ -41,6 +42,7 @@ from cpfs import serialize
 from cpfs.fusion import CircularMatrix
 from cpfs.serialize import (
     _indented,
+    load_collections,
     parse_collections,
     parse_config,
     parse_problem,
@@ -235,6 +237,7 @@ def reference_collections(cells):
 @example([[0.5, 0.5]] * 3 + [[True, 0.5]] + [[0.5, 0.5, 0.5]] * 4)
 @example([[0.5, 0.5], [0.9, 0.9]] * 4)
 @example([[0.25, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.25, 0.5]] * 2)
+@example([[0.7121589030173542, 0.7020183030755814]] * 7 + [[0.7121589030173542, 0.7020183030755816]])
 def test_parse_matches_a_parser_that_checks_every_cell(cells):
     for parse, ref in ((fast, reference), (fast_collections, reference_collections)):
         assert outcome(parse, cells) == outcome(ref, cells)
@@ -350,6 +353,7 @@ def test_a_valid_document_skips_the_per_cell_loop(boundary_text, monkeypatch):
     monkeypatch.setattr(serialize, "_as_pair", refuse)
     assert parse_problem(boundary_text).shape == (3, 300, 5)
     assert load_case_study().shape == (3, 5, 5)
+    assert [len(values) for _, values in load_collections(collections_path())] == [4, 4, 4]
 
 
 def test_a_parse_runs_no_collection(boundary_text):

@@ -94,11 +94,11 @@ class TestDecisionProblem:
             DecisionProblem(("A1", "A2"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5), experts)
         assert (raised.value.args[0], raised.value.location) == (message, location)
 
-    def test_a_type_error_inside_a_row_is_not_taken_for_a_shape_error(self):
+    @pytest.mark.parametrize("later", [(P, P), 5], ids=["then a good row", "then a row not iterable"])
+    def test_a_type_error_inside_a_row_is_not_taken_for_a_shape_error(self, later):
         row = (None + x for x in (1, 2))  # iterable, but iterating it raises TypeError
         with pytest.raises(TypeError, match="unsupported operand"):
-            DecisionProblem(("A1", "A2"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5),
-                            [[(self.P, self.P), row]])
+            DecisionProblem(("A1", "A2"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5), [[row, later]])
 
     def test_a_repeated_label_is_named(self):
         cells = ((PFV(0.5, 0.5),) * 2,) * 2
