@@ -16,15 +16,15 @@ One kernel, :func:`_fused_columns`, fuses whole columns (one per expert) in
 columns in whole-column passes; :func:`fuse` gives it columns of one value.
 Its bits equal the cell-by-cell formula's: a center is the correctly rounded
 ``math.fsum`` of the same squares, a radius the largest of the same
-``math.hypot`` distances (pairwise ``max`` picks the same non-NaN float), and
-the clamp, a no-op below 1, runs only if needed.  The fused matrix stays three
+``math.hypot`` distances (one ``max`` per cell over every column's distance
+picks the same float, as ``hypot`` gives neither NaN nor ``-0.0``), and the
+clamp, a no-op below 1, runs only if needed.  The fused matrix stays three
 columns, a :class:`CircularMatrix` of row views that build a ``CPFV`` on access.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import repeat
 from operator import mul, sub, truediv
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -50,7 +50,7 @@ def _fused_columns(mus: Sequence[Sequence[float]], nus: Sequence[Sequence[float]
     fuses the points ``(mus[e][c], nus[e][c])`` and is checked as a circular value at ``where(c)``."""
     mu, nu = _quadratic_means(mus), _quadratic_means(nus)
     distances = [map(math.hypot, map(sub, mu, x), map(sub, nu, y)) for x, y in zip(mus, nus)]
-    r = tuple(reduce(lambda a, b: map(max, a, b), distances))
+    r = tuple(map(max, *distances) if len(distances) > 1 else distances[0])  # max of one float raises
     if max(r) > 1.0:  # min(x, 1.0) is x itself for every x <= 1, so it runs only when it clamps
         r = tuple(map(min, r, repeat(1.0)))
     _require_circles(mu, nu, r, where)

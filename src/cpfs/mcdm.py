@@ -16,6 +16,11 @@ pipeline reproduces were produced that way, and two alternatives can sit
 close enough that quantization decides their order.  Pass
 ``aggregate_precision=None`` for a fully unrounded pipeline.
 
+A problem is normalized and fused once, on its first solve: every later solve
+of the same object shares its ``normalized`` and ``circular_matrix``, and a
+kept problem keeps them in memory.  A write into the problem's ``mu`` or ``nu``
+column is detected, bit for bit (``-0.0`` for ``0.0`` too), and fuses it again.
+
 ``complexity_estimate`` evaluates the closed-form operation-count model of
 the pipeline: ``k + 2kn(6m + 7) + 25n`` for the "_q" operator variants and
 ``k + 4kn(3m + 4) + 27n`` for the "_p" variants, with ``k`` criteria, ``n``
@@ -69,6 +74,7 @@ class DecisionProblem:
     weights: WeightVector
     mu: array = field(hash=False)
     nu: array = field(hash=False)
+    _fused: tuple | None = field(default=None, compare=False, repr=False)  # see _fused_once
 
     def __init__(self, alternatives: Sequence[str], criteria: Sequence[str], polarity: Sequence[Polarity],
                  weights: Sequence[float], experts: Sequence[Sequence[Sequence[PFV]]]) -> None:
@@ -103,9 +109,13 @@ class DecisionProblem:
         problem._set(*values)
         return problem
 
+    def __reduce__(self) -> tuple:  # a copy or pickle is fused again; see _fused_once
+        return DecisionProblem._of_columns, tuple(map(self.__getattribute__, _FIELDS))
+
     def _set(self, *values: object) -> None:
         for name, value in zip(_FIELDS, values):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_fused", None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -145,7 +155,7 @@ class DecisionProblem:
         return tuple(tuple(rows[r : r + n]) for r in range(0, len(rows), n))
 
 
-_FIELDS = tuple(f.name for f in fields(DecisionProblem))
+_FIELDS = tuple(f.name for f in fields(DecisionProblem) if f.compare)  # all but the memo
 
 
 def _iterable(node: object, where: str) -> Iterator:
@@ -234,6 +244,21 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
                                        problem.weights, mu, nu)
 
 
+def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, CircularMatrix]:
+    """The normalized problem and its fused matrix, kept in the problem while its columns hold the
+    normalized cells, each cost column swapped back, bit for bit: ``array ==`` takes ``-0.0`` for ``0.0``."""
+    memo, k = problem._fused, len(problem.criteria)
+    if memo is not None:
+        columns = problem.mu, problem.nu, memo[0].mu, memo[0].nu
+        mu, nu, n_mu, n_nu = (memoryview(c).cast("B").cast("Q") for c in columns)
+        pairs = ((n_nu, n_mu) if p == "cost" else (n_mu, n_nu) for p in problem.polarity)
+        if all(mu[j::k] == x[j::k] and nu[j::k] == y[j::k] for j, (x, y) in enumerate(pairs)):
+            return memo
+    normalized = normalize(problem)
+    object.__setattr__(problem, "_fused", memo := (normalized, build_circular_matrix(normalized)))
+    return memo
+
+
 def solve(
     problem: DecisionProblem,
     operator: str | AggregationOperator = "cpwa_q",
@@ -254,8 +279,7 @@ def solve(
     if aggregate_precision is not None:
         require_precision(aggregate_precision)
 
-    normalized = normalize(problem)
-    circular = build_circular_matrix(normalized)
+    normalized, circular = _fused_once(problem)
     aggregated, scored, similarities = [], [], []
     for label, row in zip(problem.alternatives, circular):
         try:
@@ -303,9 +327,4 @@ def complexity_sweep(
 ) -> list[tuple[int, int, int, int]]:
     """Grid of ``(k, n, m, count)`` rows, suitable for plotting."""
     operator = _operator_name(operator)
-    return [
-        (k, n, m, complexity_estimate(k, n, m, operator))
-        for k in k_range
-        for n in n_range
-        for m in m_range
-    ]
+    return [(k, n, m, complexity_estimate(k, n, m, operator)) for k in k_range for n in n_range for m in m_range]

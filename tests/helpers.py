@@ -32,7 +32,7 @@ from cpfs.aggregation import _checked
 from cpfs.algebra import _require_positive
 from cpfs.generators import _weighted
 from cpfs.rounding import require_precision
-from cpfs.serialize import result_to_dict
+from cpfs.serialize import parse_problem, result_to_dict
 from cpfs.values import _paired, _real, _shown
 
 __all__ = [
@@ -50,6 +50,8 @@ __all__ = [
     "reference_normalize",
     "reference_cell",
     "reference_columns",
+    "parsed_columns",
+    "columns_or_error",
     "reference_solve_tables",
     "reference_round_half_up",
     "reference_format_fixed",
@@ -211,7 +213,7 @@ def reference_cell(node, where: str) -> PFV:
             raise ParseError(f"expected a number, got {_shown(x)}", location=f"{where}[{k}]")
     try:
         return PFV(float(node[0]), float(node[1]))
-    except CircularFuzzyError as err:
+    except (CircularFuzzyError, OverflowError) as err:  # OverflowError: an integer beyond the float range
         raise ParseError(str(err), location=where) from err
 
 
@@ -237,6 +239,22 @@ def reference_columns(experts, n: int, k: int) -> tuple[list[float], list[float]
                 mu.append(point.mu)
                 nu.append(point.nu)
     return mu, nu
+
+
+def parsed_columns(document):
+    """The ``mu`` and ``nu`` columns of the problem ``parse_problem`` makes of ``document``."""
+    problem = parse_problem(document)
+    return problem.mu, problem.nu
+
+
+def columns_or_error(parse):
+    """``float.hex`` of every component ``parse()`` gives, so the sign of ``-0.0``
+    counts, or the message and location of its error."""
+    try:
+        mu, nu = parse()
+    except ParseError as err:
+        return err.args[0], err.location
+    return list(map(float.hex, mu)), list(map(float.hex, nu))
 
 
 def _reference_quantized(x, digits: int) -> Decimal:

@@ -50,7 +50,14 @@ from cpfs.serialize import (
     write_solve_tables,
 )
 from cpfs.values import CPFVRow
-from helpers import perfbench_gen, reference_cell, reference_columns, reference_solve_tables
+from helpers import (
+    columns_or_error,
+    parsed_columns,
+    perfbench_gen,
+    reference_cell,
+    reference_columns,
+    reference_solve_tables,
+)
 
 # Repeats, both zeros, half-up ties at two and three decimals, and a value
 # that is 0 at every precision but not zero.
@@ -174,18 +181,22 @@ class FloatSub(float):
 
 
 # Cells from JSON (ints, bools, both zeros, strings, nested and wrong-length
-# lists, pairs outside the unit disc) and from an already-loaded dict.
+# lists, pairs outside the unit disc, integers beyond the float range) and
+# from an already-loaded dict.
 CELL_POOL = [
     [0.5, 0.5], [1, 0], [0, 1], [1, 0.0], [0.0, 1], [True, 0.5], [0.5, False],
     [-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [0.5, 0.5, 0.5], [0.5], [], "0.5",
     0.5, None, {"mu": 0.5}, [[0.5], 0.5], [[0.5, 0.5]], [0.9, 0.9], [1.5, 0.0],
     [-0.5, 0.5], [0.6, 0.8], [math.nan, 0.5], [math.inf, 0.0], ["0.5", 0.5],
     (0.5, 0.5), [np.float64(0.5), 0.5], [FloatSub(0.5), 0.5], [2, 0],
+    [10**400, 0], [0.5, -(10**400)],
 ]
+# Small integers, and integers on both sides of the float range's end: from
+# 2**1024 - 2**970 on, ``float()`` raises OverflowError.
+integers = st.one_of(st.integers(-2, 2), st.integers(2**1023, 2**1025), st.integers(-(2**1025), -(2**1023)))
 cells = st.one_of(
     st.sampled_from(CELL_POOL),
-    st.lists(st.one_of(st.floats(), st.integers(-2, 2), st.booleans(), st.text(max_size=2)),
-             max_size=3),
+    st.lists(st.one_of(st.floats(), integers, st.booleans(), st.text(max_size=2)), max_size=3),
 )
 
 
@@ -238,6 +249,7 @@ def reference_collections(cells):
 @example([[0.5, 0.5], [0.9, 0.9]] * 4)
 @example([[0.25, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.25, 0.5]] * 2)
 @example([[0.7121589030173542, 0.7020183030755814]] * 7 + [[0.7121589030173542, 0.7020183030755816]])
+@example([[0.5, 0.5]] * 7 + [[10**400, 0]])
 def test_parse_matches_a_parser_that_checks_every_cell(cells):
     for parse, ref in ((fast, reference), (fast_collections, reference_collections)):
         assert outcome(parse, cells) == outcome(ref, cells)
@@ -298,21 +310,6 @@ def problem_documents(draw):
         "experts": experts,
     }
     return doc, n, k
-
-
-def columns_or_error(parse):
-    """``float.hex`` of every component ``parse()`` gives, so the sign of ``-0.0``
-    counts, or the message and location of its error."""
-    try:
-        mu, nu = parse()
-    except ParseError as err:
-        return err.args[0], err.location
-    return list(map(float.hex, mu)), list(map(float.hex, nu))
-
-
-def parsed_columns(document):
-    problem = parse_problem(document)
-    return problem.mu, problem.nu
 
 
 def last_cell(cell):

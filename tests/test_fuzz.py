@@ -4,7 +4,8 @@ Each test mutates a bundled document (the case-study problem, the point-value
 collections, a config): it replaces, deletes or duplicates a node anywhere
 in the tree, or perturbs a number.  The matching ``parse_*`` function must
 return or raise ``ParseError`` and nothing else, and ``cpfs`` must exit with
-status 0 or 2.
+status 0 or 2.  Mutated expert matrices must also parse to the columns, or
+the located error, of a parser that checks every node.
 
 The public constructors, scalar operations and count arguments get junk in
 place of numbers (huge integers, bools, strings, ``None``, non-finite floats,
@@ -40,6 +41,7 @@ from cpfs import (
 )
 from cpfs.cli import main
 from cpfs.serialize import parse_collections, parse_config, parse_problem
+from helpers import columns_or_error, parsed_columns, reference_columns
 
 PROBLEM = json.loads(case_study_path().read_text(encoding="utf-8"))
 COLLECTIONS = json.loads(collections_path().read_text(encoding="utf-8"))
@@ -118,6 +120,19 @@ def test_mutated_problem(tmp_path_factory, doc):
 
 
 @fuzz
+@given(mutated({"experts": PROBLEM["experts"]}))
+@example({"experts": [PROBLEM["experts"][0], [[[0.5, 0.5]] * 4 + [[10**400, 0]]] * 5, []]})
+def test_mutated_cells_parse_as_a_parser_that_checks_every_node(doc):
+    """Every mutation lands in the expert matrices; ``parse_problem`` must give the columns,
+    or the located error, of a parser that checks every node in document order.  No matrix at
+    all is the problem's own error, not the parser's."""
+    if doc.get("experts", []) == []:
+        return
+    assert columns_or_error(lambda: parsed_columns({**PROBLEM, **doc})) == columns_or_error(
+        lambda: reference_columns(doc["experts"], 5, 5))
+
+
+@fuzz
 @given(mutated(COLLECTIONS))
 def test_mutated_collections(tmp_path_factory, doc):
     parses_or_parse_error(parse_collections, doc)
@@ -143,6 +158,7 @@ junk = st.one_of(
     ]),
     st.floats(),
     st.integers(-2, 2),
+    st.integers(2**1023, 2**1025),  # from 2**1024 - 2**970 on beyond the float range
 )
 GENS = algebraic_pair()
 

@@ -1,10 +1,15 @@
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cpfs import (
     CPFV,
+    CircularFuzzyError,
     ConstraintViolation,
     DecisionProblem,
     DegenerateCenter,
@@ -27,9 +32,10 @@ from cpfs import (
     normalize,
     solve,
 )
+import cpfs.mcdm
 import expected_case_study as ref
 from cpfs.serialize import parse_problem
-from helpers import all_pairs_ranking, perfbench_gen
+from helpers import all_pairs_ranking, bits, perfbench_gen, point_values, problems
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +211,13 @@ class TestSolve:
         assert sorted(result.ranking.labels()) == sorted(problem.alternatives)
 
     def test_identical_solves_give_equal_results_with_equal_hashes(self, problem):
-        first, second = solve(problem, "cpwg_p"), solve(problem, "cpwg_p")
+        first, second = solve(load_case_study(), "cpwg_p"), solve(load_case_study(), "cpwg_p")
         assert first.circular_matrix is not second.circular_matrix
         assert first == second and hash(first) == hash(second)
+        again, unrounded = solve(problem, "cpwg_p"), solve(problem, "cpwa_q", aggregate_precision=None)
+        assert again == first and hash(again) == hash(first)
+        assert again.normalized is unrounded.normalized
+        assert again.circular_matrix is unrounded.circular_matrix
 
     def test_scores_non_increasing(self, problem):
         for operator in ("cpwa_q", "cpwg_p"):
@@ -315,6 +325,97 @@ class TestSolve:
         with pytest.raises(ConstraintViolation, match=r"alternative 'A285': .* got 1\.0034 "):
             solve(problem, operator)
         assert solve(problem, operator, aggregate_precision=None).ranking
+
+
+OPERATORS = ("cpwa_q", "cpwa_p", "cpwg_q", "cpwg_p")
+
+
+@pytest.fixture
+def fuses(monkeypatch):
+    """The problems that ``solve`` fuses, in call order."""
+    fused, fuse = [], cpfs.mcdm.build_circular_matrix
+    monkeypatch.setattr(cpfs.mcdm, "build_circular_matrix", lambda p: fused.append(p) or fuse(p))
+    return fused
+
+
+def fresh(problem):
+    """A newly built problem with the cells of ``problem``."""
+    return DecisionProblem(problem.alternatives, problem.criteria, problem.polarity, problem.weights,
+                           problem.experts)
+
+
+def result_bits(problem, operator, precision):
+    """``float.hex`` of every number a solve gives, so the sign of ``-0.0`` counts, with its
+    labels and tie flags; or the type and message of its error."""
+    try:
+        result = solve(problem, operator, aggregate_precision=precision)
+    except CircularFuzzyError as err:
+        return type(err), str(err)
+    values = (*result.circular_matrix.cells, *result.aggregated, *result.scored)
+    return (bits(result.normalized), [tuple(map(float.hex, v.as_tuple())) for v in values],
+            [(e.label, e.score.hex(), e.tied) for e in result.ranking.entries], result.operator)
+
+
+class TestFusedOnce:
+    """Every solve of one problem object reuses the normalized problem and fused matrix of its
+    first, while the problem's columns hold the same bits."""
+
+    def test_the_four_operators_at_two_precisions_fuse_once(self, fuses):
+        problem = load_case_study()
+        for precision in (2, None):
+            for operator in OPERATORS:
+                result = solve(problem, operator, aggregate_precision=precision)
+                if precision == 2:
+                    assert result.ranking.ascending_string() == ref.RANKINGS[operator]
+        assert len(fuses) == 1
+
+    @given(problems(), point_values, st.data())
+    def test_reused_results_have_the_bits_of_a_fresh_problem(self, problem, point, data):
+        for _ in range(2):
+            for operator, precision in product(OPERATORS, (2, None)):
+                assert result_bits(problem, operator, precision) == result_bits(fresh(problem), operator, precision)
+            c = data.draw(st.integers(0, len(problem.mu) - 1))
+            problem.mu[c], problem.nu[c] = point.mu, point.nu  # checked on the next solve
+
+    @pytest.mark.parametrize("polarity", [("benefit", "benefit"), ("cost", "benefit")])
+    def test_a_written_cell_is_fused_again(self, fuses, polarity):
+        problem = small_problem([[(0.5, 0.25), (0.5, 0.5)], [(0.25, 0.5), (0.75, 0.25)]], polarity)
+        before = solve(problem, "cpwa_q")
+        problem.mu[0] = 0.75
+        after = solve(problem, "cpwa_q")
+        assert len(fuses) == 2 and after != before
+        assert result_bits(problem, "cpwa_q", 2) == result_bits(fresh(problem), "cpwa_q", 2)
+
+    def test_a_zero_made_negative_under_a_cost_criterion_is_fused_again(self, fuses):
+        problem = small_problem([[(0.0, 0.5), (0.5, 0.5)], [(0.25, 0.5), (0.75, 0.25)]], ("cost", "benefit"))
+        solve(problem, "cpwa_q")
+        problem.mu[0] = -0.0  # == 0.0, so only its bits tell the write
+        result = solve(problem, "cpwa_q")
+        assert len(fuses) == 2 and math.copysign(1.0, result.normalized.nu[0]) == -1.0
+        assert result_bits(problem, "cpwa_q", 2) == result_bits(fresh(problem), "cpwa_q", 2)
+
+    def test_threads_that_fuse_one_problem_at_once_get_the_serial_results(self):
+        serial = {operator: result_bits(load_case_study(), operator, 2) for operator in OPERATORS}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(5):
+                    problem = load_case_study()
+                    solves = [(op, pool.submit(result_bits, problem, op, 2)) for op in OPERATORS * 4]
+                    assert all(future.result(timeout=60) == serial[op] for op, future in solves)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_solved_problem_pickles_without_its_fused_matrix(self, fuses, protocol):
+        problem = load_case_study()
+        solve(problem, "cpwg_q")
+        copy = pickle.loads(pickle.dumps(problem, protocol))
+        assert copy == problem and bits(copy) == bits(problem)
+        for operator in OPERATORS:
+            assert result_bits(copy, operator, 2) == result_bits(problem, operator, 2)
+        assert len(fuses) == 2  # the pickle left the fused matrix behind; the copy fused once
 
 
 class TestRanking:
