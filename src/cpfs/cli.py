@@ -8,11 +8,16 @@ Subcommands:
     validate    parse and validate a problem document
 
 Exit status is 0 on success and 2 on any parse/validation error.
+
+``build_parser`` builds the parser, binding the subcommand handlers, on its first call (the first
+``main``) and returns that one parser for the rest of the process; help still wraps to the
+terminal on each call, as argparse makes its formatter when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -81,6 +86,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args writes only to the Namespace it returns
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpfs",
@@ -130,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CircularFuzzyError, OSError) as err:

@@ -93,6 +93,9 @@ class CircularMatrix(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+    def __reduce__(self) -> tuple:  # as CPFVRow.__reduce__
+        return CircularMatrix, (self.cells, self.criteria)
+
 
 def build_circular_matrix(problem: DecisionProblem) -> CircularMatrix:
     """Fuse a problem's expert matrices cellwise.

@@ -246,6 +246,9 @@ class CPFVRow(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+    def __reduce__(self) -> tuple:  # slots without __getstate__ do not pickle at protocols 0 and 1
+        return CPFVRow, (self.mu, self.nu, self.r)
+
 
 @dataclass(frozen=True, slots=True)
 class CPFS:

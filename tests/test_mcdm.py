@@ -344,16 +344,24 @@ def fresh(problem):
                            problem.experts)
 
 
+def result_hex(result):
+    """``float.hex`` of every column and number of a solve's result, so the sign of ``-0.0`` counts,
+    with its labels and tie flags."""
+    cells = result.circular_matrix.cells
+    columns = (result.problem.mu, result.problem.nu, result.normalized.mu, result.normalized.nu,
+               cells.mu, cells.nu, cells.r, result.similarities)
+    return ([list(map(float.hex, c)) for c in columns], result.circular_matrix.criteria,
+            [tuple(map(float.hex, v.as_tuple())) for v in (*result.aggregated, *result.scored)],
+            [(e.label, e.score.hex(), e.tied) for e in result.ranking.entries], result.operator)
+
+
 def result_bits(problem, operator, precision):
-    """``float.hex`` of every number a solve gives, so the sign of ``-0.0`` counts, with its
-    labels and tie flags; or the type and message of its error."""
+    """``result_hex`` of a solve's result, or the type and message of its error."""
     try:
         result = solve(problem, operator, aggregate_precision=precision)
     except CircularFuzzyError as err:
         return type(err), str(err)
-    values = (*result.circular_matrix.cells, *result.aggregated, *result.scored)
-    return (bits(result.normalized), [tuple(map(float.hex, v.as_tuple())) for v in values],
-            [(e.label, e.score.hex(), e.tied) for e in result.ranking.entries], result.operator)
+    return result_hex(result)
 
 
 class TestFusedOnce:
@@ -416,6 +424,14 @@ class TestFusedOnce:
         for operator in OPERATORS:
             assert result_bits(copy, operator, 2) == result_bits(problem, operator, 2)
         assert len(fuses) == 2  # the pickle left the fused matrix behind; the copy fused once
+
+    def test_a_result_pickles_at_every_protocol(self, monkeypatch):
+        gen = perfbench_gen(monkeypatch)
+        tall = parse_problem(gen.generate(gen.Params(3, 3000, 5, boundary_frac=0.1, zero_weight=True), 0))
+        for result in (solve(load_case_study()), solve(tall, "cpwg_p", aggregate_precision=None)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(result, protocol))
+                assert copy == result and result_hex(copy) == result_hex(result), protocol
 
 
 class TestRanking:

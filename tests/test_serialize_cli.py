@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from cpfs import DecisionProblem, DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
+from cpfs import cli
 from cpfs.cli import main
 from helpers import perfbench_gen
 from cpfs.serialize import (
@@ -649,3 +654,79 @@ class TestCli:
         deep.write_text(text)
         assert main(["validate", "--input", str(deep)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {deep}: invalid JSON: maximum recursion depth")
+
+
+class TestCachedParser:
+    """``main`` builds its parser on its first call and reuses it for the rest of the process."""
+
+    def test_five_calls_build_the_parser_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["solve"], ["validate", "--input", str(case_study_path())], ["complexity", "5", "5", "3"],
+                     ["solve", "--operator", "q"], ["fuse", "--input", str(collections_path())]):
+            assert main(argv) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_no_call_carries_state_to_the_next(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"operator": "q", "precision": 3}))
+        calls = [["solve", "--precision", "3"], ["solve", "--config", str(cfg)],
+                 ["solve", "--operator", "cpwg_p"], ["solve", "--precision", "x"], ["solve"]]
+
+        def run(argv, out):  # exit status, stdout, stderr and every file written, by name
+            try:
+                code = main([*argv, "--out-dir", out])
+            except SystemExit as exc:
+                code = exc.code
+            files = {p.name: p.read_bytes() for p in sorted(Path(out).glob("*"))}
+            return code, *capsys.readouterr(), files
+
+        monkeypatch.chdir(tmp_path)  # relative out dirs, so stdout does not name the run
+        cached = [run(argv, f"cached{i}") for i, argv in enumerate(calls)]
+        fresh = []
+        for i in reversed(range(len(calls))):  # in the other order, so no carried state matches
+            cli.build_parser.cache_clear()
+            fresh.insert(0, run(calls[i], f"fresh{i}"))
+        assert [c[0] for c in cached] == [0, 0, 0, 2, 0]
+        assert [c[1].replace("cached", "fresh") for c in cached] == [f[1] for f in fresh]
+        assert [c[2:] for c in cached] == [f[2:] for f in fresh]
+        assert cached[0][3]["ranking.csv"] != cached[4][3]["ranking.csv"]  # precision 3, then 2 again
+
+    def test_help_wraps_to_the_terminal_on_each_call(self, monkeypatch, capsys):
+        def help_text(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(["solve", "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        texts = []
+        for columns in (40, 150, 40):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            texts.append(help_text(main))
+            assert texts[-1] == help_text(cli.build_parser.__wrapped__().parse_args)
+        narrow, wide = (text.splitlines() for text in texts[:2])
+        usage = narrow.index("")  # the usage, whose "[--precision PRECISION]" argparse does not break
+        assert max(map(len, narrow[usage:])) <= 40 < 80 < max(map(len, wide)) <= 150
+        assert len(narrow) > len(wide) and texts[2] == texts[0]
+
+    def test_threads_parse_their_own_arguments_at_once(self):
+        argvs = [["solve", "--precision", "3", "--operator", "q"], ["solve", "--out-dir", "t", "--config", "c"],
+                 ["fuse", "--input", "f.json", "--precision", "5"], ["complexity", "5", "6", "3", "--sweep"]]
+        parser = cli.build_parser()
+        serial = [vars(parser.parse_args(argv)) for argv in argvs]
+        barrier = threading.Barrier(len(argvs))
+
+        def parse(argv):
+            barrier.wait(timeout=60)
+            return [vars(parser.parse_args(argv)) for _ in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(argvs)) as pool:
+                parsed = list(pool.map(parse, argvs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parser is cli.build_parser()
+        for expected, got in zip(serial, parsed):
+            assert got == [expected] * 200
