@@ -60,10 +60,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    rows = load_collections(args.input)
-    print("label,mu,nu,r")
-    for label, values in rows:
-        print(_quoted(label), *(format_fixed(x, args.precision) for x in fuse(values).as_tuple()), sep=",")
+    rows = []
+    for i, (label, values) in enumerate(load_collections(args.input)):
+        try:
+            value = fuse(values)
+        except CircularFuzzyError as err:  # raised before the header, so a failure writes no partial table
+            err.location = f"elements[{i}]"
+            raise
+        rows.append(",".join([_quoted(label), *(format_fixed(x, args.precision) for x in value.as_tuple())]))
+    print("label,mu,nu,r", *rows, sep="\n")
     return 0
 
 

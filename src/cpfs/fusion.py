@@ -18,8 +18,9 @@ Its bits equal the cell-by-cell formula's: a center is the correctly rounded
 ``math.fsum`` of the same squares, a radius the largest of the same
 ``math.hypot`` distances (one ``max`` per cell over every column's distance
 picks the same float, as ``hypot`` gives neither NaN nor ``-0.0``), and the
-clamp, a no-op below 1, runs only if needed.  The fused matrix stays three
-columns, a :class:`CircularMatrix` of row views that build a ``CPFV`` on access.
+clamp, a no-op below 1, runs only if needed.  The fused matrix is a tuple of
+rows, each a ``CPFVRow`` over slices of the three fused columns that builds a
+``CPFV`` on access.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import mul, sub, truediv
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import EmptyInput
 from .values import CPFV, PFV, CPFVRow, _require_circles, _shown
@@ -64,51 +65,19 @@ def fuse(collection: Sequence[PFV]) -> CPFV:
     return _fused_columns([(p.mu,) for p in collection], [(p.nu,) for p in collection])[0]
 
 
-class CircularMatrix(Sequence):
-    """The fused matrix: ``cells``, the float columns of every cell in alternative -> criterion
-    order (a :class:`~cpfs.values.CPFVRow`), in rows of ``criteria`` cells.  A read-only sequence
-    of rows, each a ``CPFVRow`` slice of ``cells`` built on access and ``==`` its tuple of values."""
-
-    __slots__ = ("cells", "criteria")
-
-    def __init__(self, cells: CPFVRow, criteria: int) -> None:
-        self.cells, self.criteria = cells, criteria
-
-    def __iter__(self) -> Iterator[CPFVRow]:
-        k = self.criteria
-        return (self.cells[c : c + k] for c in range(0, len(self.cells), k))
-
-    def __len__(self) -> int:
-        return len(self.cells) // self.criteria
-
-    def __getitem__(self, i: int | slice) -> CPFVRow | tuple[CPFVRow, ...]:
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        c = range(0, len(self.cells), self.criteria)[i]  # an IndexError past either end
-        return self.cells[c : c + self.criteria]
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == tuple(other) if isinstance(other, (CircularMatrix, tuple)) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __reduce__(self) -> tuple:  # as CPFVRow.__reduce__
-        return CircularMatrix, (self.cells, self.criteria)
-
-
-def build_circular_matrix(problem: DecisionProblem) -> CircularMatrix:
+def build_circular_matrix(problem: DecisionProblem) -> tuple[CPFVRow, ...]:
     """Fuse a problem's expert matrices cellwise.
 
-    Returns the alternatives x criteria matrix of fused circular values, a
-    :class:`CircularMatrix`: cell ``(i, j)`` fuses every expert's evaluation of
-    alternative ``i`` under criterion ``j``.  Each expert's block of the
-    problem's columns is read through a ``memoryview``, not copied.
+    Returns the alternatives x criteria matrix of fused circular values as a tuple of rows, one
+    :class:`~cpfs.values.CPFVRow` per alternative: cell ``(i, j)`` fuses every expert's evaluation
+    of alternative ``i`` under criterion ``j``.  Each expert's block of the problem's columns is
+    read through a ``memoryview``, not copied.
     """
     alts, crits = problem.alternatives, problem.criteria
-    step = len(alts) * len(crits)  # the cells of one expert matrix
+    k = len(crits)
+    step = len(alts) * k  # the cells of one expert matrix
     mu, nu = memoryview(problem.mu), memoryview(problem.nu)
     blocks = range(0, len(mu), step)
-    at = lambda c: f"alternative {_shown(alts[c // len(crits)])}: criterion {_shown(crits[c % len(crits)])}"
+    at = lambda c: f"alternative {_shown(alts[c // k])}: criterion {_shown(crits[c % k])}"
     cells = _fused_columns([mu[b : b + step] for b in blocks], [nu[b : b + step] for b in blocks], at)
-    return CircularMatrix(cells, len(crits))
+    return tuple(cells[c : c + k] for c in range(0, step, k))

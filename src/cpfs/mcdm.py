@@ -34,14 +34,14 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
 from .errors import CircularFuzzyError, DimensionMismatch, DomainError, EmptyInput, LengthMismatch
-from .fusion import CircularMatrix, build_circular_matrix
+from .fusion import build_circular_matrix
 from .rounding import require_precision, round_half_up
 from .similarity import csm_to_ideal
-from .values import CPFV, PFV, _labels, _require_count, _shown
+from .values import CPFV, PFV, CPFVRow, _labels, _require_count, _shown
 
 __all__ = [
     "DecisionProblem",
@@ -63,7 +63,9 @@ class DecisionProblem:
     Built from ``experts``, nested as ``experts[e][i][j]``, expert ``e``'s
     evaluation of alternative ``i`` under criterion ``j``.  The cells are held
     as two float columns, ``mu`` and ``nu``, in that expert -> alternative ->
-    criterion order; :attr:`experts` builds the nested values again.
+    criterion order, and only there.  An argument of the wrong kind, such as a
+    number where a sequence belongs, raises Python's own ``TypeError``; a value
+    of the right kind that breaks a rule raises a located error.
     ``weights`` may be any sequence of numbers; it is checked and stored as a
     :class:`~cpfs.aggregation.WeightVector`.
     """
@@ -82,13 +84,7 @@ class DecisionProblem:
         n, k = len(alternatives), len(criteria)
         cells = []
         for e, matrix in enumerate(experts):
-            where = f"experts[{e}]"
-            matrix, rows = tuple(_iterable(matrix, where)), []
-            try:
-                rows += map(tuple, matrix)
-            except TypeError:  # raised again unless the row it stopped at is not iterable
-                _iterable(matrix[len(rows)], f"{where}[{len(rows)}]")
-                raise
+            where, rows = f"experts[{e}]", [*map(tuple, matrix)]
             if len(rows) != n or any(len(row) != k for row in rows):
                 raise DimensionMismatch(f"expert matrix {e} does not match shape {n} alternatives x {k} criteria",
                                         location=where)
@@ -146,24 +142,8 @@ class DecisionProblem:
         n, k = len(self.alternatives), len(self.criteria)
         return (len(self.mu) // (n * k), n, k)
 
-    @property
-    def experts(self) -> tuple[tuple[tuple[PFV, ...], ...], ...]:
-        """The cells as nested point values, ``experts[e][i][j]``; built on each access."""
-        n, k = len(self.alternatives), len(self.criteria)
-        cells = list(map(PFV, self.mu, self.nu))
-        rows = [tuple(cells[c : c + k]) for c in range(0, len(cells), k)]
-        return tuple(tuple(rows[r : r + n]) for r in range(0, len(rows), n))
-
 
 _FIELDS = tuple(f.name for f in fields(DecisionProblem) if f.compare)  # all but the memo
-
-
-def _iterable(node: object, where: str) -> Iterator:
-    """``iter(node)``, or :class:`DimensionMismatch` at ``where`` if ``node`` is not iterable."""
-    try:
-        return iter(node)
-    except TypeError:
-        raise DimensionMismatch(f"expected a sequence, got {type(node).__name__}", location=where) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,12 +195,12 @@ class Ranking:
 
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
-    """Everything the pipeline produced, for reporting.  ``circular_matrix`` holds the
-    fused float columns; its rows are :class:`~cpfs.values.CPFVRow` views over them."""
+    """Everything the pipeline produced, for reporting.  ``circular_matrix`` holds one
+    :class:`~cpfs.values.CPFVRow` per alternative, a view over the fused float columns."""
 
     problem: DecisionProblem
     normalized: DecisionProblem
-    circular_matrix: CircularMatrix
+    circular_matrix: tuple[CPFVRow, ...]
     aggregated: tuple[CPFV, ...]
     scored: tuple[CPFV, ...]
     similarities: tuple[float, ...]
@@ -244,7 +224,7 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
                                        problem.weights, mu, nu)
 
 
-def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, CircularMatrix]:
+def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, tuple[CPFVRow, ...]]:
     """The normalized problem and its fused matrix, kept in the problem while its columns hold the
     normalized cells, each cost column swapped back, bit for bit: ``array ==`` takes ``-0.0`` for ``0.0``."""
     memo, k = problem._fused, len(problem.criteria)

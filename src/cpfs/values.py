@@ -5,9 +5,9 @@ Three immutable types build on each other:
 - :class:`PFV` -- a membership / non-membership pair ``(mu, nu)`` on the unit
   interval constrained by ``mu**2 + nu**2 <= 1``.
 - :class:`CPFV` -- the triple ``<mu, nu; r>``: a circle whose center ``(mu, nu)``
-  obeys the :class:`PFV` invariants (``center`` builds that :class:`PFV` on each
-  access), with a radius ``r`` in ``[0, 1]`` that models the uncertainty of the
-  evaluation around the center.  The atomic value of the whole package.
+  obeys the :class:`PFV` invariants, with a radius ``r`` in ``[0, 1]`` that
+  models the uncertainty of the evaluation around the center.  The atomic
+  value of the whole package.
 - :class:`CPFS` -- an ordered, label-indexed family of :class:`CPFV` over a
   finite universe.  Each element carries its own radius; a uniform-radius set
   is simply the special case where all radii coincide.
@@ -159,10 +159,6 @@ class PFV:
 
     __post_init__ = _point
 
-    @property
-    def quadratic_sum(self) -> float:
-        return self.mu * self.mu + self.nu * self.nu
-
     def complement(self) -> "PFV":
         """Swap the membership and non-membership components."""
         return PFV(self.nu, self.mu)
@@ -180,11 +176,6 @@ class CPFV:
         _point(self)
         if type(self.r) is not float or not 0.0 <= self.r <= 1.0:  # a float in [0, 1] passes as it is
             object.__setattr__(self, "r", _require_component(self.r, "radius", RadiusOutOfRange))
-
-    @property
-    def center(self) -> PFV:
-        """The center as a point value; built on each access."""
-        return PFV(self.mu, self.nu)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.mu, self.nu, self.r)

@@ -46,6 +46,7 @@ __all__ = [
     "point_values",
     "problems",
     "bits",
+    "experts_of",
     "reference_fuse",
     "reference_normalize",
     "reference_cell",
@@ -161,10 +162,19 @@ def problems(draw, max_experts: int = 3):
     )
 
 
+def experts_of(problem) -> tuple[tuple[tuple[PFV, ...], ...], ...]:
+    """A problem's cells as nested point values, ``experts_of(problem)[e][i][j]``,
+    built from its ``mu`` and ``nu`` columns."""
+    n, k = len(problem.alternatives), len(problem.criteria)
+    cells = list(map(PFV, problem.mu, problem.nu))
+    rows = [tuple(cells[c : c + k]) for c in range(0, len(cells), k)]
+    return tuple(tuple(rows[r : r + n]) for r in range(0, len(rows), n))
+
+
 def bits(problem) -> list[tuple[str, str]]:
     """``float.hex`` of both components of every cell, so the sign of ``-0.0`` counts."""
     return [
-        (c.mu.hex(), c.nu.hex()) for matrix in problem.experts for row in matrix for c in row
+        (c.mu.hex(), c.nu.hex()) for matrix in experts_of(problem) for row in matrix for c in row
     ]
 
 
@@ -184,7 +194,7 @@ def reference_fuse(points) -> CPFV:
 
 def reference_normalize(problem):
     """``normalize`` cell by cell: ``cell.complement()`` of every cost cell of
-    ``problem.experts``.  ``normalize`` swaps whole columns; kept as the
+    ``experts_of(problem)``.  ``normalize`` swaps whole columns; kept as the
     reference its values must equal bit for bit.
     """
     is_cost = [p == "cost" for p in problem.polarity]
@@ -193,7 +203,7 @@ def reference_normalize(problem):
             tuple(cell.complement() if is_cost[j] else cell for j, cell in enumerate(row))
             for row in matrix
         )
-        for matrix in problem.experts
+        for matrix in experts_of(problem)
     )
     return DecisionProblem(problem.alternatives, problem.criteria, problem.polarity, problem.weights, experts)
 
@@ -309,7 +319,7 @@ def reference_solve_tables(result, out: Path, precision: int = 2) -> None:
         ["expert", "alternative", "criterion", "mu", "nu"],
         [
             (e + 1, alts[i], crits[j], fmt(cell.mu), fmt(cell.nu))
-            for e, matrix in enumerate(result.normalized.experts)
+            for e, matrix in enumerate(experts_of(result.normalized))
             for i, row in enumerate(matrix)
             for j, cell in enumerate(row)
         ],

@@ -271,7 +271,7 @@ class TestClosure:
             raw = [rng.random() for _ in range(n)]
             w = WeightVector(tuple(x / sum(raw) for x in raw))
             out = fn(values, w, pair)
-            assert out.center.quadratic_sum <= 1.0 + 1e-9
+            assert out.mu * out.mu + out.nu * out.nu <= 1.0 + 1e-9
             assert 0.0 <= out.r <= 1.0
 
 

@@ -372,4 +372,4 @@ def test_sum_is_commutative(a, b):
 @given(cpfv_values(), cpfv_values())
 def test_product_never_leaves_the_constraint_region(a, b):
     out = multiply(a, b, Q)
-    assert out.center.quadratic_sum <= 1.0 + 1e-9
+    assert out.mu * out.mu + out.nu * out.nu <= 1.0 + 1e-9

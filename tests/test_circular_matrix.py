@@ -1,13 +1,13 @@
 """The fused matrix held as three float columns from fuse to score.
 
-``build_circular_matrix`` returns a ``CircularMatrix``: the fused ``mu``,
-``nu`` and ``r`` columns, whose ``[i]`` and iteration give alternative ``i``'s
-row as a ``CPFVRow``, a ``Sequence[CPFV]`` over slices of the columns built on
-access; ``solve`` hands that row to the operator.  The columns must equal the
-per-cell reference fuse bit for bit (compared as ``float.hex``, so the sign of
-``-0.0`` counts); the matrix and its rows must behave, compare and hash as the
-tuples they replace; and the fused point check, made over whole columns, must
-raise exactly the error ``CPFV`` raises for the first bad cell.
+``build_circular_matrix`` returns a tuple with one ``CPFVRow`` per
+alternative: a ``Sequence[CPFV]`` over slices of the fused ``mu``, ``nu`` and
+``r`` columns that builds each value on access; ``solve`` hands that row to the
+operator.  The rows must equal the per-cell reference fuse bit for bit
+(compared as ``float.hex``, so the sign of ``-0.0`` counts); the rows must
+behave, compare and hash as the tuples of values they replace; and the fused
+point check, made over whole columns, must raise exactly the error ``CPFV``
+raises for the first bad cell.
 """
 
 import math
@@ -29,10 +29,10 @@ from cpfs import (
     make_operator,
     solve,
 )
-from cpfs.fusion import CircularMatrix, _fused_columns
+from cpfs.fusion import _fused_columns
 from cpfs.serialize import parse_problem
 from cpfs.values import CPFVRow, _require_circles
-from helpers import perfbench_gen, point_values, problems, reference_fuse
+from helpers import experts_of, perfbench_gen, point_values, problems, reference_fuse
 
 
 def hexed(v):
@@ -45,14 +45,11 @@ def ideal(values, w):
 
 
 def assert_columns_equal_the_reference(result):
-    experts = result.normalized.experts
+    experts = experts_of(result.normalized)
     want = [[hexed(reference_fuse([matrix[i][j] for matrix in experts])) for j in range(len(row))]
             for i, row in enumerate(experts[0])]
     matrix = result.circular_matrix
-    k = matrix.criteria
-    cells = matrix.cells
-    got = [[(cells.mu[c].hex(), cells.nu[c].hex(), cells.r[c].hex()) for c in range(i, i + k)]
-           for i in range(0, len(cells), k)]
+    got = [list(zip(*(map(float.hex, getattr(row, c)) for c in ("mu", "nu", "r")))) for row in matrix]
     assert got == want
     assert [[hexed(v) for v in row] for row in matrix] == want
 
@@ -76,6 +73,17 @@ def test_the_benchmark_problems_hold_the_reference_fuse(monkeypatch, params, pre
     assert_columns_equal_the_reference(solve(problem, "cpwa_q", aggregate_precision=precision))
 
 
+@settings(max_examples=150, deadline=None)
+@given(problems(max_experts=6))
+def test_the_rows_slice_the_kernel_columns_of_the_expert_blocks(problem):
+    step = len(problem.alternatives) * len(problem.criteria)
+    blocks = range(0, len(problem.mu), step)
+    cells = _fused_columns([problem.mu[b : b + step] for b in blocks], [problem.nu[b : b + step] for b in blocks])
+    rows = build_circular_matrix(problem)
+    for c in ("mu", "nu", "r"):
+        assert [x.hex() for row in rows for x in getattr(row, c)] == list(map(float.hex, getattr(cells, c)))
+
+
 # -- the matrix and its row views --------------------------------------------------
 
 ROWS = (
@@ -86,7 +94,7 @@ ROWS = (
 
 
 def of_rows(rows):
-    return CircularMatrix(CPFVRow.of([v for row in rows for v in row]), len(rows[0]))
+    return tuple(map(CPFVRow.of, rows))
 
 
 @pytest.fixture(params=["of rows", "fused"])
@@ -96,25 +104,25 @@ def matrix(request):
     problem = DecisionProblem(("A1", "A2"), ("C1", "C2", "C3"), ("benefit",) * 3, WeightVector.uniform(3),
                               [[[PFV(0.5, 0.4), PFV(0.0, 1.0), PFV(0.8, 0.6)],
                                 [PFV(1.0, 0.0), PFV(0.3, 0.3), PFV(0.1, 0.2)]]] * 2)
-    rows = tuple(tuple(reference_fuse([cell] * 2) for cell in row) for row in problem.experts[0])
+    rows = tuple(tuple(reference_fuse([cell] * 2) for cell in row) for row in experts_of(problem)[0])
     return build_circular_matrix(problem), rows
 
 
 def test_the_matrix_is_a_read_only_sequence_of_row_tuples(matrix):
-    """Its rows are ``CPFVRow`` views, each ``==`` and hashed as its tuple of values."""
+    """A tuple of ``CPFVRow`` views, one per alternative, each ``==`` and hashed as its tuple of values."""
     matrix, rows = matrix
     n = len(rows)
-    assert len(matrix) == n and matrix.criteria == 3
+    assert type(matrix) is tuple and len(matrix) == n
+    assert [type(view) for view in matrix] == [CPFVRow] * n and all(len(view) == 3 for view in matrix)
     for i in range(-n, n):
-        assert type(matrix[i]) is CPFVRow and matrix[i] == rows[i]
+        assert matrix[i] is matrix[i % n] and matrix[i] == rows[i]
     for i in (n, -n - 1):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^tuple index out of range$"):
             matrix[i]
     for cut in (slice(None), slice(1, None), slice(None, None, -1), slice(5, 9)):
         assert type(matrix[cut]) is tuple and matrix[cut] == rows[cut]
         assert all(type(view) is CPFVRow for view in matrix[cut])
-    assert [type(view) for view in matrix] == [CPFVRow] * n and tuple(matrix) == rows
-    assert list(reversed(matrix)) == list(reversed(rows))
+    assert tuple(matrix) == rows and list(reversed(matrix)) == list(reversed(rows))
     assert matrix == rows and rows == matrix and matrix == of_rows(rows) and hash(matrix) == hash(rows)
     assert matrix != rows[:-1] and matrix != list(rows)
     with pytest.raises(TypeError):

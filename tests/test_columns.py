@@ -1,7 +1,7 @@
 """A problem's cells held in two float columns, against the nested point values.
 
 ``DecisionProblem`` keeps its cells as the columns ``mu`` and ``nu``, and
-``problem.experts`` builds the nested point values again.  Fusing from the
+``experts_of(problem)`` builds the nested point values from them.  Fusing from the
 columns must equal the per-cell reference fuse over those values, and a
 problem must read back from its document, bit for bit (compared as
 ``float.hex``, so the sign of ``-0.0`` counts).  ``normalize`` is checked against its reference in
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 from cpfs import PFV, DecisionProblem, WeightVector, build_circular_matrix, normalize
 from cpfs.serialize import dump_problem, parse_problem, problem_to_dict
-from helpers import bits, problems, reference_fuse
+from helpers import bits, experts_of, problems, reference_fuse
 
 # Both zeros, the smallest subnormal and the two boundary cells, under mixed
 # polarity; one expert, then two.
@@ -37,7 +37,7 @@ def with_edges(test):
 
 @with_edges
 def test_fusing_the_columns_equals_fusing_each_cell(problem):
-    experts = problem.experts
+    experts = experts_of(problem)
     _, n, k = problem.shape
     want = [[reference_fuse([matrix[i][j] for matrix in experts]) for j in range(k)] for i in range(n)]
     assert hexed(build_circular_matrix(problem)) == hexed(want)
@@ -55,10 +55,10 @@ def test_a_problem_reads_back_from_its_document(problem):
 @with_edges
 def test_equal_problems_hash_alike(problem):
     rebuilt = DecisionProblem(problem.alternatives, problem.criteria, problem.polarity,
-                              problem.weights, problem.experts)
+                              problem.weights, experts_of(problem))
     assert rebuilt == problem and hash(rebuilt) == hash(problem)
     assert bits(rebuilt) == bits(problem)
     twice = normalize(normalize(problem))
     assert twice == problem and hash(twice) == hash(problem)
-    experts = problem.experts
+    experts = experts_of(problem)
     assert problem.shape == (len(experts), len(experts[0]), len(experts[0][0]))

@@ -39,7 +39,6 @@ from cpfs import (
     solve,
 )
 from cpfs import serialize
-from cpfs.fusion import CircularMatrix
 from cpfs.serialize import (
     _indented,
     load_collections,
@@ -52,6 +51,7 @@ from cpfs.serialize import (
 from cpfs.values import CPFVRow
 from helpers import (
     columns_or_error,
+    experts_of,
     parsed_columns,
     perfbench_gen,
     reference_cell,
@@ -96,7 +96,8 @@ def results(draw):
         )
 
     cpfvs = st.tuples(pfvs, unit).map(lambda p: CPFV(p[0].mu, p[0].nu, p[1]))
-    circular = CircularMatrix(CPFVRow.of(draw(st.lists(cpfvs, min_size=n * m, max_size=n * m))), m)
+    cells = draw(st.lists(cpfvs, min_size=n * m, max_size=n * m))
+    circular = tuple(CPFVRow.of(cells[c : c + m]) for c in range(0, n * m, m))
     aggregated = tuple(draw(st.lists(cpfvs, min_size=n, max_size=n)))
     similarities = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
     return PipelineResult(
@@ -128,7 +129,7 @@ def test_negative_zero_keeps_its_sign_after_a_positive_zero(tmp_path):
     problem = DecisionProblem(("A1", "A2"), ("C1",), ("benefit",), WeightVector((1.0,)),
                               (((a,), (b,)),))
     v = CPFV(a.mu, a.nu, 0.0)
-    result = PipelineResult(problem, problem, CircularMatrix(CPFVRow.of((v, v)), 1), (v, v), (v, v),
+    result = PipelineResult(problem, problem, (CPFVRow.of((v,)), CPFVRow.of((v,))), (v, v), (v, v),
                             (0.5, 0.5), Ranking.from_scores(("A1", "A2"), (0.5, 0.5)), "cpwa_q")
     write_solve_tables(result, tmp_path)
     lines = (tmp_path / "normalized_matrix.csv").read_text().splitlines()
@@ -220,7 +221,7 @@ def document(cells):
 
 def fast(cells):
     problem = parse_problem(document(cells))
-    return [cell for matrix in problem.experts for row in matrix for cell in row]
+    return [cell for matrix in experts_of(problem) for row in matrix for cell in row]
 
 
 def reference(cells):
@@ -258,7 +259,7 @@ def test_parse_matches_a_parser_that_checks_every_cell(cells):
 def test_json_negative_zero_keeps_its_sign():
     doc = json.dumps(document([[0.5, 0.5]] * 7 + [[0.5, -0.0]]))
     assert "-0.0" in doc
-    cell = parse_problem(doc).experts[1][1][1]
+    cell = experts_of(parse_problem(doc))[1][1][1]
     assert math.copysign(1.0, cell.nu) == -1.0
 
 

@@ -13,9 +13,8 @@ from cpfs import (
     fuse,
     round_half_up,
 )
-from cpfs.fusion import CircularMatrix
 from cpfs.values import CPFVRow
-from helpers import make_rng, point_values, problems, reference_fuse, sample_pfv
+from helpers import experts_of, make_rng, point_values, problems, reference_fuse, sample_pfv
 
 
 def pfvs(*pairs):
@@ -71,7 +70,7 @@ class TestFuse:
         for _ in range(2000):
             collection = [sample_pfv(rng) for _ in range(rng.randint(1, 8))]
             out = fuse(collection)
-            assert out.center.quadratic_sum <= 1.0 + 1e-9
+            assert out.mu * out.mu + out.nu * out.nu <= 1.0 + 1e-9
             assert 0.0 <= out.r <= 1.0
 
     def test_every_input_inside_the_circle(self):
@@ -168,9 +167,9 @@ def test_fuse_equals_the_per_cell_formula(points):
 @example(problem_of(*([[p], [q]] for p, q in zip(TINY, reversed(TINY)))))
 @given(problems(max_experts=12))
 def test_build_circular_matrix_equals_the_per_cell_formula(problem):
-    experts = problem.experts
+    experts = experts_of(problem)
     out = build_circular_matrix(problem)
-    assert type(out) is CircularMatrix and all(type(row) is CPFVRow for row in out)
+    assert type(out) is tuple and all(type(row) is CPFVRow for row in out)
     want = [[hexed(reference_fuse([matrix[i][j] for matrix in experts])) for j in range(len(row))]
             for i, row in enumerate(experts[0])]
     assert [[hexed(v) for v in row] for row in out] == want

@@ -35,7 +35,7 @@ from cpfs import (
 import cpfs.mcdm
 import expected_case_study as ref
 from cpfs.serialize import parse_problem
-from helpers import all_pairs_ranking, bits, perfbench_gen, point_values, problems
+from helpers import all_pairs_ranking, bits, experts_of, perfbench_gen, point_values, problems
 
 
 @pytest.fixture(scope="module")
@@ -84,17 +84,40 @@ class TestDecisionProblem:
 
     P = PFV(0.5, 0.5)
 
+    class IterNone:
+        """A matrix whose own ``__iter__`` raises a ``TypeError``."""
+
+        def __iter__(self):
+            return iter(None)
+
+    # A wrong kind raises Python's own TypeError, unwrapped and unlocated.
+    @pytest.mark.parametrize("argument, value, message", [
+        ("alternatives", 5, "'int' object is not iterable"),
+        ("criteria", 5, "'int' object is not iterable"),
+        ("polarity", 5, "'int' object is not iterable"),
+        ("weights", 5, "'int' object is not iterable"),
+        ("experts", 5, "'int' object is not iterable"),
+        ("experts", [5], "'int' object is not iterable"),
+        ("experts", [[[P, P], [P, P]], None], "'NoneType' object is not iterable"),
+        ("experts", [[[P, P], 5]], "'int' object is not iterable"),
+        ("experts", [IterNone()], "'NoneType' object is not iterable"),  # the message from inside __iter__
+    ], ids=["alternatives", "criteria", "polarity", "weights", "experts", "matrix not iterable",
+            "later matrix None", "row not iterable", "matrix iter raises"])
+    def test_an_argument_of_the_wrong_kind_raises_type_error(self, argument, value, message):
+        arguments = dict(alternatives=("A1", "A2"), criteria=("C1", "C2"), polarity=("benefit",) * 2,
+                         weights=(0.5, 0.5), experts=[[[self.P, self.P], [self.P, self.P]]])
+        DecisionProblem(**arguments)  # the table's base case is a valid problem
+        with pytest.raises(TypeError) as raised:
+            DecisionProblem(**{**arguments, argument: value})
+        assert type(raised.value) is TypeError and str(raised.value) == message
+
     @pytest.mark.parametrize("experts, message, location", [
-        ([5], "expected a sequence, got int", "experts[0]"),
-        ([[[P, P], [P, P]], None], "expected a sequence, got NoneType", "experts[1]"),
-        ([[[P, P], 5]], "expected a sequence, got int", "experts[0][1]"),
         ([[[P, P], [P, P]], [[P, P]]],
          "expert matrix 1 does not match shape 2 alternatives x 2 criteria", "experts[1]"),
         ([[[P, P], [P]]], "expert matrix 0 does not match shape 2 alternatives x 2 criteria", "experts[0]"),
         ([[[P, P], [P, P]], [[P, P], [P, (0.5, 0.5)]]],
          "expert matrix 1 contains a non-PFV cell", "experts[1][1][1]"),
-    ], ids=["matrix not iterable", "later matrix None", "row not iterable", "rows missing",
-            "row short", "cell not a PFV"])
+    ], ids=["rows missing", "row short", "cell not a PFV"])
     def test_a_malformed_expert_matrix_is_located(self, experts, message, location):
         with pytest.raises(DimensionMismatch) as raised:
             DecisionProblem(("A1", "A2"), ("C1", "C2"), ("benefit",) * 2, (0.5, 0.5), experts)
@@ -175,7 +198,7 @@ class TestDecisionProblem:
 class TestNormalize:
     def test_reproduces_reference_matrix_exactly(self, problem):
         normalized = normalize(problem)
-        for e, matrix in enumerate(normalized.experts):
+        for e, matrix in enumerate(experts_of(normalized)):
             for i, row in enumerate(matrix):
                 for j, cell in enumerate(row):
                     mu, nu = ref.NORMALIZED[e][i][j]
@@ -183,10 +206,10 @@ class TestNormalize:
 
     def test_all_benefit_problem_unchanged(self):
         p = small_problem([[(0.5, 0.5), (0.6, 0.4)], [(0.3, 0.7), (0.2, 0.8)]])
-        assert normalize(p).experts == p.experts
+        assert experts_of(normalize(p)) == experts_of(p)
 
     def test_involution(self, problem):
-        assert normalize(normalize(problem)).experts == problem.experts
+        assert experts_of(normalize(normalize(problem))) == experts_of(problem)
 
     def test_only_cost_columns_swapped(self):
         p = small_problem(
@@ -194,8 +217,8 @@ class TestNormalize:
             polarity=("cost", "benefit"),
         )
         n = normalize(p)
-        assert n.experts[0][0][0] == PFV(0.3, 0.5)
-        assert n.experts[0][0][1] == PFV(0.6, 0.4)
+        assert experts_of(n)[0][0][0] == PFV(0.3, 0.5)
+        assert experts_of(n)[0][0][1] == PFV(0.6, 0.4)
 
 
 class TestSolve:
@@ -218,6 +241,8 @@ class TestSolve:
         assert again == first and hash(again) == hash(first)
         assert again.normalized is unrounded.normalized
         assert again.circular_matrix is unrounded.circular_matrix
+        # The rows are sliced once, at fuse time: every solve and every read returns the same row objects.
+        assert all(row is again.circular_matrix[i] for i, row in enumerate(unrounded.circular_matrix))
 
     def test_scores_non_increasing(self, problem):
         for operator in ("cpwa_q", "cpwg_p"):
@@ -341,16 +366,17 @@ def fuses(monkeypatch):
 def fresh(problem):
     """A newly built problem with the cells of ``problem``."""
     return DecisionProblem(problem.alternatives, problem.criteria, problem.polarity, problem.weights,
-                           problem.experts)
+                           experts_of(problem))
 
 
 def result_hex(result):
     """``float.hex`` of every column and number of a solve's result, so the sign of ``-0.0`` counts,
     with its labels and tie flags."""
-    cells = result.circular_matrix.cells
+    rows = result.circular_matrix
+    fused = ([x for row in rows for x in getattr(row, c)] for c in ("mu", "nu", "r"))
     columns = (result.problem.mu, result.problem.nu, result.normalized.mu, result.normalized.nu,
-               cells.mu, cells.nu, cells.r, result.similarities)
-    return ([list(map(float.hex, c)) for c in columns], result.circular_matrix.criteria,
+               *fused, result.similarities)
+    return ([list(map(float.hex, c)) for c in columns], [len(row) for row in rows],
             [tuple(map(float.hex, v.as_tuple())) for v in (*result.aggregated, *result.scored)],
             [(e.label, e.score.hex(), e.tied) for e in result.ranking.entries], result.operator)
 

@@ -12,7 +12,7 @@ import pytest
 from cpfs import DecisionProblem, DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
 from cpfs import cli
 from cpfs.cli import main
-from helpers import perfbench_gen
+from helpers import experts_of, perfbench_gen
 from cpfs.serialize import (
     dump_problem,
     load_config,
@@ -524,7 +524,7 @@ class TestCli:
         problem = parse_problem(minimal_doc())
         with pytest.raises(DomainError, match="label is not valid text"):
             problem = DecisionProblem(("A\ud800", "A2"), problem.criteria, problem.polarity,
-                                      problem.weights, problem.experts)
+                                      problem.weights, experts_of(problem))
             write_solve_tables(solve(problem), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -580,6 +580,22 @@ class TestCli:
         assert main(["fuse", "--input", str(doc)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "solo,0.50,0.50,0.00"
+
+    def test_fuse_names_the_element_off_the_disc_and_writes_no_table(self, tmp_path, capsys):
+        # The two values of "edge" are the cells of test_solve_names_a_fused_cell_off_the_disc.
+        doc = tmp_path / "edge.json"
+        doc.write_text(json.dumps({"elements": [
+            {"label": "ok", "values": [[0.5, 0.5]]},
+            {"label": "edge", "values": [[0.7121589030173542, 0.7020183030755814],
+                                         [0.7609249135053414, 0.6488399471417344]]},
+        ]}))
+        assert main(["fuse", "--input", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: elements[1]: mu**2 + nu**2 must not exceed 1, "
+            "got 1.0000000010000003 for mu=0.7369453938861389, nu=0.6759522819178909\n"
+        )
 
     def test_fuse_empty_collection_fails(self, tmp_path, capsys):
         doc = tmp_path / "empty.json"

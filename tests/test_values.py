@@ -41,7 +41,7 @@ def set_b():
 class TestValidatePfv:
     def test_boundary_pair_is_accepted(self):
         v = PFV(0.8, 0.6)
-        assert v.quadratic_sum == pytest.approx(1.0, abs=1e-15)
+        assert v.mu * v.mu + v.nu * v.nu == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_pair_is_accepted(self):
         assert PFV(0.0, 0.0) == PFV(0.0, 0.0)
@@ -324,4 +324,4 @@ def test_complement_is_involutive_on_points(p):
 def test_any_center_and_radius_builds_a_valid_value(p, r):
     v = CPFV(p.mu, p.nu, r)
     assert 0.0 <= v.r <= 1.0
-    assert v.center.quadratic_sum <= 1.0 + 1e-9
+    assert v.mu * v.mu + v.nu * v.nu <= 1.0 + 1e-9
