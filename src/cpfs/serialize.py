@@ -21,8 +21,9 @@ other key is allowed::
     {"operator": "cpwa_q", "precision": 2, "aggregate_precision": 2}
 
 A problem's cells are checked one expert matrix at a time in whole-matrix
-passes, and a matrix they do not take is read again cell by cell.  Each
-parser pauses the cyclic garbage collector, process-wide, until it returns.
+passes, and a matrix they do not take is read again cell by cell; problem
+text is decoded one matrix at a time where :func:`_read_problem` takes it.
+Each parser pauses the cyclic garbage collector, process-wide, until it returns.
 
 Errors carry their document path as ``location`` (e.g. ``experts[1][2][0]``)
 and the document's name as ``source``.  All CSV output is deterministic: fixed
@@ -60,12 +61,12 @@ __all__ = [
 
 
 @contextmanager
-def _decoded(document: str | dict, source: str | None) -> Iterator[Any]:
-    """``document``, decoded if it is JSON text, for a ``with`` block that reads
+def _decoded(document: str | dict, source: str | None, loads: Callable[[str], Any] = json.loads) -> Iterator[Any]:
+    """``document``, decoded by ``loads`` if it is JSON text, for a ``with`` block that reads
     it: a :class:`ParseError` raised in decoding or in the block names ``source``."""
     try:
         try:
-            data = json.loads(document) if isinstance(document, str) else document
+            data = loads(document) if isinstance(document, str) else document
         # A JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit.
         except (ValueError, RecursionError) as e:
             raise ParseError(f"invalid JSON: {e}") from e
@@ -160,11 +161,68 @@ def _columns(matrix: Any, n: int, k: int) -> tuple[list, list] | None:
     return (xs, ys) if {*map(type, components)} == {float} and _points_pass(xs, ys) else None
 
 
+#: What ``json.loads`` skips between tokens, and its C scanner of one value.
+_skip = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once
+
+
+class _Cells(tuple):
+    """The ``(mu, nu)`` columns of every expert matrix of a document, read by :func:`_read_problem`."""
+
+
+def _token(text: str, i: int) -> tuple[str, int]:
+    """The first character after the whitespace at ``text[i]``, and the index after it and the
+    whitespace that follows; an ``IndexError`` at the end of ``text``."""
+    j = _skip(text, i).end()
+    return text[j], _skip(text, j + 1).end()
+
+
+def _read_problem(text: str) -> Any:
+    """``json.loads(text)``, but with ``experts`` read into :class:`_Cells`, one matrix decoded at a
+    time, if ``text`` is an object with unique keys, ``alternatives`` and ``criteria`` come before
+    ``experts``, :func:`_columns` takes every matrix, and only whitespace follows the object."""
+    data: dict = {}
+    try:
+        token, i = _token(text, 0)
+        while token == ("," if data else "{") and text[i] == '"':
+            key, i = json.decoder.scanstring(text, i + 1)
+            token, i = _token(text, i)
+            if key in data or token != ":":
+                break
+            data[key], i = (_read_experts(text, i, len(data["alternatives"]), len(data["criteria"]))
+                            if key == "experts" else _scan(text, i))
+            token, i = _token(text, i)
+        if token == "}" and i == len(text):
+            return data
+    # Text json.loads rejects, experts before a count or of a shape _columns does not take.
+    except (ValueError, StopIteration, IndexError, RecursionError, KeyError, TypeError):
+        pass
+    return json.loads(text)
+
+
+def _read_experts(text: str, i: int, n: int, k: int) -> tuple[_Cells, int]:
+    """The columns of the non-empty list of expert matrices at ``text[i]`` and the index after it,
+    each matrix decoded and dropped before the next; a ``ValueError`` if :func:`_columns` leaves one."""
+    mu, nu = array("d"), array("d")
+    token, i = _token(text, i)
+    while token == ("," if mu else "["):  # a matrix _columns takes has a cell
+        matrix, i = _scan(text, i)
+        if not (columns := _columns(matrix, n, k)):
+            raise ValueError("a matrix to read cell by cell")
+        mu.fromlist(columns[0])
+        nu.fromlist(columns[1])
+        del matrix, columns
+        token, i = _token(text, i)
+    if not mu or token != "]":
+        raise ValueError("expected a non-empty list")
+    return _Cells((mu, nu)), i
+
+
 @_collector_paused()
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
     """Parse and validate a problem document (JSON text or an already-loaded dict).
     The cyclic garbage collector is paused, process-wide, until it returns."""
-    with _decoded(document, source) as data:
+    with _decoded(document, source, _read_problem) as data:
         if not isinstance(data, dict):
             raise ParseError("top level must be an object")
 
@@ -180,11 +238,12 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         polarity = _as_list(data["polarity"], "polarity")
         weights = _as_list(data["weights"], "weights")
 
-        # The cells go straight into the problem's columns; see DecisionProblem.  A matrix
-        # the whole-matrix pass does not take is read again cell by cell, to locate its error.
-        mu, nu = array("d"), array("d")
+        # The cells go straight into the problem's columns (text _read_problem took is there already);
+        # see DecisionProblem.  A matrix the whole-matrix pass does not take is read again cell by cell.
+        experts = data["experts"]
+        mu, nu = experts if type(experts) is _Cells else (array("d"), array("d"))
         n, k = len(alternatives), len(criteria)
-        for e, matrix in enumerate(_as_list(data["experts"], "experts")):
+        for e, matrix in enumerate(() if type(experts) is _Cells else _as_list(experts, "experts")):
             if columns := _columns(matrix, n, k):
                 mu.fromlist(columns[0])
                 nu.fromlist(columns[1])

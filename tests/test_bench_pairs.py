@@ -1,5 +1,5 @@
 """``tools/bench_pairs.py``: its copy of the working tree, its line count of ``src/``,
-its summary of pairs, its ``--pairs`` check and the layout of the committed
+its summary of pairs, its ``--pairs`` and ``--parent`` checks and the layout of the committed
 ``BENCH_*.json`` files."""
 
 import importlib.util
@@ -131,6 +131,8 @@ def main_up_to_export(bench_pairs, monkeypatch, claim):
         raise RuntimeError("export")
 
     monkeypatch.setattr(bench_pairs, "export", stop)
+    # No git either, so this runs outside a git checkout too.
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40 + "\n")
     bench_pairs.main(["--parent", "HEAD", "--workload", "tall", "--seed", "1",
                       "--out", "unused.json", "--claim", claim])
 
@@ -149,6 +151,18 @@ def test_a_claim_not_naming_a_workload_and_end_to_end_metric_is_a_usage_error(
 def test_a_valid_claim_reaches_the_runs(bench_pairs, monkeypatch, claim):
     with pytest.raises(RuntimeError, match="export"):
         main_up_to_export(bench_pairs, monkeypatch, claim)
+
+
+def test_a_parent_git_cannot_resolve_is_a_usage_error_naming_parent(bench_pairs, monkeypatch, capsys):
+    def fail(*args):
+        raise subprocess.CalledProcessError(128, ["git", *args], stderr="fatal: not a git repository\n")
+
+    monkeypatch.setattr(bench_pairs, "git", fail)
+    with pytest.raises(SystemExit) as raised:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "tall", "--seed", "1", "--out", "unused.json"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "--parent 'HEAD' names no commit" in err and "fatal: not a git repository" in err
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

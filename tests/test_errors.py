@@ -1,4 +1,5 @@
-"""Every error the package raises derives from CircularFuzzyError."""
+"""Every error the package raises derives from CircularFuzzyError, and an
+argument of the wrong kind raises Python's own TypeError or AttributeError."""
 
 import pytest
 
@@ -14,13 +15,23 @@ from cpfs import (
     UnknownGenerator,
     UnknownOperator,
     WeightVector,
+    add,
     add_minmax,
     algebraic_dual_generator,
     algebraic_generator,
     algebraic_pair,
+    complement,
     complexity_estimate,
+    cpwa,
+    csm,
+    csm_to_ideal,
+    fuse,
     intersect,
+    multiply,
     multiply_minmax,
+    power,
+    scalar_multiple,
+    solve,
     tconorm_from_generator,
     tnorm_from_generator,
     union,
@@ -97,3 +108,39 @@ def test_a_located_lookup_error_prints_its_location_and_message_unquoted():
     assert err.location is None
     err.location = "operator"
     assert str(err) == "operator: unknown name 'x'"
+
+
+W = WeightVector((0.5, 0.5))
+PAIR = algebraic_pair()
+
+#: Public entry points given a wrong kind, an ``int``, where a value, a pair, a
+#: set, a collection or a problem belongs, with the built-in error each raises.
+WRONG_KINDS = {
+    "csm(5, v)": (AttributeError, lambda: csm(5, A)),
+    "csm_to_ideal(5)": (AttributeError, lambda: csm_to_ideal(5)),
+    "add(v, v, 5)": (AttributeError, lambda: add(A, A, 5)),
+    "add(5, v, pair)": (AttributeError, lambda: add(5, A, PAIR)),
+    "multiply(v, 5, pair)": (AttributeError, lambda: multiply(A, 5, PAIR)),
+    "scalar_multiple(2.0, 5, pair)": (AttributeError, lambda: scalar_multiple(2.0, 5, PAIR)),
+    "power(5, 2.0, pair)": (AttributeError, lambda: power(5, 2.0, PAIR)),
+    "add_minmax(5, v)": (AttributeError, lambda: add_minmax(5, A)),
+    "fuse([5])": (AttributeError, lambda: fuse([5])),
+    "cpwa([v, 5], w)": (AttributeError, lambda: cpwa([A, 5], W)),
+    "union(5, 5)": (AttributeError, lambda: union(5, 5)),
+    "solve(5)": (AttributeError, lambda: solve(5)),
+    "fuse(5)": (TypeError, lambda: fuse(5)),
+    "cpwa(5, w)": (TypeError, lambda: cpwa(5, W)),
+    "WeightVector(5)": (TypeError, lambda: WeightVector(5)),
+    "CPFS(5)": (TypeError, lambda: CPFS(5)),
+    "complement(5)": (TypeError, lambda: complement(5)),
+}
+
+
+@pytest.mark.parametrize("error, call", WRONG_KINDS.values(), ids=WRONG_KINDS)
+def test_an_argument_of_the_wrong_kind_raises_pythons_own_error(error, call):
+    """The library's rule: a wrong kind raises Python's own ``TypeError`` or
+    ``AttributeError``; only a value of the right kind that breaks a rule raises
+    a ``CircularFuzzyError``."""
+    with pytest.raises(error) as info:
+        call()
+    assert not isinstance(info.value, CircularFuzzyError)

@@ -4,8 +4,9 @@ Each test mutates a bundled document (the case-study problem, the point-value
 collections, a config): it replaces, deletes or duplicates a node anywhere
 in the tree, or perturbs a number.  The matching ``parse_*`` function must
 return or raise ``ParseError`` and nothing else, and ``cpfs`` must exit with
-status 0 or 2.  Mutated expert matrices must also parse to the columns, or
-the located error, of a parser that checks every node.
+status 0 or 2.  Mutated expert matrices must also parse, as a document and
+as JSON text, to the columns, or the located error, of a parser that checks
+every node.
 
 The public constructors, scalar operations and count arguments get junk in
 place of numbers (huge integers, bools, strings, ``None``, non-finite floats,
@@ -124,12 +125,14 @@ def test_mutated_problem(tmp_path_factory, doc):
 @example({"experts": [PROBLEM["experts"][0], [[[0.5, 0.5]] * 4 + [[10**400, 0]]] * 5, []]})
 def test_mutated_cells_parse_as_a_parser_that_checks_every_node(doc):
     """Every mutation lands in the expert matrices; ``parse_problem`` must give the columns,
-    or the located error, of a parser that checks every node in document order.  No matrix at
-    all is the problem's own error, not the parser's."""
+    or the located error, of a parser that checks every node in document order, from the
+    document and from its JSON text.  No matrix at all is the problem's own error, not the parser's."""
     if doc.get("experts", []) == []:
         return
-    assert columns_or_error(lambda: parsed_columns({**PROBLEM, **doc})) == columns_or_error(
-        lambda: reference_columns(doc["experts"], 5, 5))
+    want = columns_or_error(lambda: reference_columns(doc["experts"], 5, 5))
+    document = {**PROBLEM, **doc}
+    assert columns_or_error(lambda: parsed_columns(document)) == want
+    assert columns_or_error(lambda: parsed_columns(json.dumps(document))) == want
 
 
 @fuzz

@@ -155,7 +155,12 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.claim is not None and args.claim not in claims(benchmark):
         parser.error(f"--claim must be one of {', '.join(claims(benchmark))}; got {args.claim!r}")
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+    try:
+        parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+    except (subprocess.CalledProcessError, OSError) as err:  # not a checkout, no such commit, or no git
+        detail = getattr(err, "stderr", None) or err
+        parser.error(f"--parent {args.parent!r} names no commit of a git checkout at {ROOT}: "
+                     f"{str(detail).strip()}")
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp_parent, \
             tempfile.TemporaryDirectory(prefix="bench-change-") as tmp_change:
