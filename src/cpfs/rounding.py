@@ -5,12 +5,13 @@ to 9 decimals is ``%``-formatted instead, which CPython rounds correctly,
 unless ``y = abs(x) * 10.0**digits`` is within 1e-6 of a half-integer.  The
 error of ``y`` is at most 6e-8 and that of ``repr(x)``, scaled, at most
 5.6e-8, so outside that band both round to the same digits.  Near-ties and
-every other input take the ``Decimal`` path.
+every other input take the ``Decimal`` path, also in the column form.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 from .errors import DomainError
@@ -58,3 +59,18 @@ def format_fixed(x: float, digits: int = 2) -> str:
         return format(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
     except InvalidOperation:  # the result needs more digits than the 28-digit context holds
         raise DomainError(f"cannot round {x!r} to {digits} decimals in 28 digits") from None
+
+
+def _format_column(xs: Sequence[float], digits: int) -> list[str]:
+    """``[format_fixed(x, digits) for x in xs]`` in whole-column passes: a column of floats in
+    [-1, 1] at 0 to 9 decimals is ``%``-formatted at once, and only its values in the tie band go
+    through :func:`format_fixed`, a NaN among them, which ``min`` and ``max`` pass over unless it
+    comes first; any other column goes through it whole."""
+    if not (type(digits) is int and 0 <= digits <= 9 and {*map(type, xs)} <= {float}
+            and -1.0 <= min(xs, default=0.0) and max(xs, default=0.0) <= 1.0):
+        return [format_fixed(x, digits) for x in xs]
+    scale, fixed = _FAST[digits]
+    texts = list(map(fixed.__mod__, xs))
+    for i in [i for i, x in enumerate(xs) if not abs(abs(x) * scale % 1.0 - 0.5) > 1e-6]:
+        texts[i] = format_fixed(xs[i], digits)
+    return texts

@@ -27,7 +27,9 @@ Each parser pauses the cyclic garbage collector, process-wide, until it returns.
 
 Errors carry their document path as ``location`` (e.g. ``experts[1][2][0]``)
 and the document's name as ``source``.  All CSV output is deterministic: fixed
-column order, fixed half-up decimal formatting, ``\n`` line endings.
+column order, fixed half-up decimal formatting, ``\n`` line endings.  Each
+matrix table is written by ``%``-formatting a template of its lines, one per
+expert matrix for the normalized matrix, with each ``%`` of a label doubled.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ import gc
 import json
 from array import array
 from contextlib import contextmanager
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .aggregation import _operator_name
 from .errors import CircularFuzzyError, ParseError
 from .mcdm import DecisionProblem, PipelineResult
-from .rounding import format_fixed, require_precision
+from .rounding import _format_column, format_fixed, require_precision
 from .values import PFV, _label, _points_pass, _require_point, _shown
 
 __all__ = [
@@ -368,16 +370,31 @@ def _quoted(label: str) -> str:
     return label
 
 
+def _template(starts: list[str], fields: int, lead: str = "") -> str:
+    """A ``%``-template of one line per item of ``starts``: ``lead``, the start, then ``fields``
+    ``%s`` fields; each ``%`` of the starts must be doubled already."""
+    end = ",".join(["%s"] * fields) + "\n"
+    return lead + (end + lead).join(starts) + end
+
+
+def _interleaved(*columns: Iterable[str]) -> tuple[str, ...]:
+    """The items of the equally long ``columns`` taken one from each in turn, as a tuple."""
+    columns = [list(c) for c in columns]
+    fields: list = [None] * sum(map(len, columns))
+    for c, column in enumerate(columns):
+        fields[c :: len(columns)] = column
+    return tuple(fields)
+
+
 def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: int = 2) -> dict[str, Path]:
     """Write every pipeline table as CSV plus a JSON result document.
 
     Returns a name -> path map of everything written.  A precision outside
     0 to :data:`~cpfs.rounding.MAX_PRECISION` raises before any file is written.
     """
-    fmt = _Formatted(require_precision(precision))
+    digits = require_precision(precision)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    score = _Formatted(3)
     problem = result.problem
     # Each label is quoted once; formatted numbers never need quoting.
     alts, crits = ([_quoted(x) for x in labels] for labels in (problem.alternatives, problem.criteria))
@@ -392,37 +409,29 @@ def write_solve_tables(result: PipelineResult, out_dir: str | Path, precision: i
             fh.writelines(lines)
         files[name] = path
 
-    # Matrix tables are written one alternative's row of cells at a time; the
-    # normalized rows are read from the problem's columns, k cells at a time.
-    mu, nu = result.normalized.mu, result.normalized.nu
-    m, _, k = result.normalized.shape
+    # Each matrix table is one template per expert matrix, or one in all, whose lines start with an
+    # (alternative, criterion) pair, each % of a label doubled.  The input cells repeat, so each
+    # distinct value is formatted once; the fused values are nearly all distinct, so each of their
+    # columns, like every column of the short tables, is formatted in one pass.
+    starts = [f"{alt},{crit},".replace("%", "%%") for alt in alts for crit in crits]
+    get = _Formatted(digits).__getitem__
+    mu, nu, cells = result.normalized.mu, result.normalized.nu, len(starts)
     emit("normalized_matrix", "expert,alternative,criterion,mu,nu", (
-        "".join([f"{e},{alt},{crit},{fmt[x]},{fmt[y]}\n"
-                 for crit, x, y in zip(crits, mu[c : c + k], nu[c : c + k])])
-        for (e, alt), c in zip(product(range(1, m + 1), alts), range(0, len(mu), k))
+        _template(starts, 2, f"{e},") % _interleaved(map(get, mu[c : c + cells]), map(get, nu[c : c + cells]))
+        for e, c in enumerate(range(0, len(mu), cells), 1)
     ))
-    fused = [
-        (alt, list(zip(crits, *(map(fmt.__getitem__, c) for c in (row.mu, row.nu, row.r)))))
-        for alt, row in zip(alts, result.circular_matrix)
-    ]
-    emit("fused_centers", "alternative,criterion,mu,nu", (
-        "".join([f"{alt},{crit},{mu},{nu}\n" for crit, mu, nu, _ in row]) for alt, row in fused
-    ))
-    emit("fused_radii", "alternative,criterion,r", (
-        "".join([f"{alt},{crit},{r}\n" for crit, _, _, r in row]) for alt, row in fused
-    ))
-    emit("circular_matrix", "alternative,criterion,mu,nu,r", (
-        "".join([f"{alt},{crit},{mu},{nu},{r}\n" for crit, mu, nu, r in row]) for alt, row in fused
-    ))
-    emit("aggregated", "alternative,mu,nu,r", (
-        f"{alt},{fmt[v.mu]},{fmt[v.nu]},{fmt[v.r]}\n" for alt, v in zip(alts, result.aggregated)
-    ))
-    emit("similarities", "alternative,score", (
-        f"{alt},{score[s]}\n" for alt, s in zip(alts, result.similarities)
-    ))
+    rows = result.circular_matrix
+    fused = [_format_column([x for row in rows for x in getattr(row, c)], digits) for c in ("mu", "nu", "r")]
+    emit("fused_centers", "alternative,criterion,mu,nu", [_template(starts, 2) % _interleaved(*fused[:2])])
+    emit("fused_radii", "alternative,criterion,r", [_template(starts, 1) % tuple(fused[2])])
+    emit("circular_matrix", "alternative,criterion,mu,nu,r", [_template(starts, 3) % _interleaved(*fused)])
+    aggregated = (_format_column(c, digits) for c in zip(*(v.as_tuple() for v in result.aggregated)))
+    emit("aggregated", "alternative,mu,nu,r", map("{},{},{},{}\n".format, alts, *aggregated))
+    emit("similarities", "alternative,score", map("{},{}\n".format, alts, _format_column(result.similarities, 3)))
+    ranking = result.ranking
     emit("ranking", "rank,alternative,score,tied", (
-        f"{pos},{quoted[entry.label]},{score[entry.score]},{int(entry.tied)}\n"
-        for pos, entry in enumerate(result.ranking.entries, 1)
+        f"{pos},{quoted[entry.label]},{score},{int(entry.tied)}\n"
+        for pos, (entry, score) in enumerate(zip(ranking.entries, _format_column(ranking.scores(), 3)), 1)
     ))
 
     path = out / "result.json"

@@ -1,9 +1,11 @@
 """The two fast paths of ``cpfs.serialize`` against their references.
 
-``write_solve_tables`` formats each distinct value once and writes the
-normalized matrix a line at a time, quoting each label once by the RFC 4180
-rule; its files must equal those of a writer that formats every cell and
-writes every row through ``csv.writer``, whatever the labels hold, and its
+``write_solve_tables`` formats each distinct input value once and each fused
+or derived column in one pass, quotes each label once by the RFC 4180 rule, and
+fills each matrix table from ``%``-templates of its lines, one per expert
+matrix for the normalized matrix, each ``%`` of a label doubled; its files must
+equal those of a writer that formats every cell and writes every row through
+``csv.writer``, whatever the labels hold (``%`` and line breaks too), and its
 ``result.json``, written in chunks with each list of numbers laid out by
 plain formatting (a float's repr, or one template per ``[mu, nu, r]``
 triple), must equal ``json.dumps(..., indent=2, sort_keys=True)``.  ``parse_problem``
@@ -65,8 +67,10 @@ UNIT_POOL = [0.0, -0.0, 0.5, 0.125, 0.005, 0.0125, 0.045, 1.0, 1e-9, 1 / 3, 0.99
 unit = st.one_of(st.sampled_from(UNIT_POOL), st.floats(0.0, 1.0))
 pfvs = st.tuples(unit, unit).filter(lambda p: p[0] * p[0] + p[1] * p[1] <= 1.0).map(lambda p: PFV(*p))
 # Labels the csv module must quote or keep as they are: delimiters, quotes,
-# line breaks, empty text, outer spaces and non-ASCII text.
-CSV_SPECIAL = ["a,b", 'say "hi"', '"', "cr\rx", "lf\nx", "\r\n", "", " lead", "trail ", "ünï", "Ω,\"", "A1"]
+# line breaks, empty text, outer spaces and non-ASCII text; and labels a
+# %-template must not read as fields.
+CSV_SPECIAL = ["a,b", 'say "hi"', '"', "cr\rx", "lf\nx", "\r\n", "", " lead", "trail ", "ünï", "Ω,\"", "A1",
+               "%", "%s", "%%", "%(x)s", ",%s,%s", "%\n"]
 labels = st.one_of(
     st.sampled_from(CSV_SPECIAL),
     st.text(st.sampled_from(',"\r\n aé\u2028\t'), max_size=4),
@@ -76,7 +80,7 @@ labels = st.one_of(
 
 @st.composite
 def results(draw):
-    k = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     alts = tuple(draw(st.lists(labels, min_size=n, max_size=n, unique=True)))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cpfs import (
     MAX_PRECISION,
@@ -14,6 +14,7 @@ from cpfs import (
     solve,
 )
 from cpfs.cli import main
+from cpfs.rounding import _format_column
 from cpfs.serialize import parse_config, write_solve_tables
 from helpers import reference_format_fixed, reference_round_half_up
 
@@ -131,6 +132,62 @@ def test_any_float_rounds_as_the_reference(x, digits):
 def test_a_value_that_needs_more_than_28_digits_is_a_domain_error(fn):
     with pytest.raises(DomainError, match="28 digits"):
         fn(1e300, 2)
+
+
+# -- the column form: whole-column passes, format_fixed's strings and errors ----
+
+
+@st.composite
+def near_ties(draw, precisions):
+    """``k / 10**d``, mostly with ``k`` a half-integer, at a precision ``d`` drawn from ``precisions``
+    (0 to 12), as it is, moved by an offset inside or just outside the 1e-6 tie band, or moved by
+    a few ulps; either sign."""
+    d = draw(precisions)
+    x = (draw(st.integers(0, 10**d)) + draw(st.sampled_from([0.5, 0.5, 0.0]))) / 10**d
+    move = draw(st.sampled_from(["none", "none", "band", "ulps"]))
+    if move == "band":
+        x += draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([5e-7, 9.9e-7, 1.01e-6, 2e-6])) / 10**d
+    for _ in range(draw(st.integers(1, 3)) if move == "ulps" else 0):
+        x = math.nextafter(x, draw(st.sampled_from([0.0, 2.0])))
+    return draw(st.sampled_from([1.0, -1.0])) * x
+
+
+EDGES = [0.0, -0.0, *SUBNORMALS, *(-s for s in SUBNORMALS), 1.0, -1.0,
+         math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0)]
+BEYOND = st.floats(1.0, 1e300, exclude_min=True).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def columns(draw):
+    """A precision from 0 to 27 and a column: near-ties at that precision (up to 12) or another,
+    the edge values and, in some columns, a value beyond ±1 and a NaN or an infinity."""
+    digits = draw(st.integers(0, 12) | st.integers(0, MAX_PRECISION))
+    precisions = st.sampled_from([min(digits, 12)] * 3 + list(range(13)))
+    xs = draw(st.lists(near_ties(precisions) | st.sampled_from(EDGES), max_size=24))
+    for extra in (BEYOND, st.sampled_from([math.nan, math.inf, -math.inf])):
+        for x in draw(st.lists(extra, max_size=1)):
+            xs.insert(draw(st.integers(0, len(xs))), x)
+    return xs, digits
+
+
+def outcome(fn):
+    """``fn()``, or the type and message of the :class:`DomainError` it raises."""
+    try:
+        return fn()
+    except DomainError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300)
+@given(columns())
+@example(([0.285, 0.015, 0.125, -0.5045], 2))  # 0.285 * 100.0 is 28.499999999999996
+@example(([0.5, 1.005], 2))
+@example(([0.25, math.nan, 2.0], 1))
+def test_a_column_formats_as_format_fixed_on_each_value(case):
+    """The column form equals ``format_fixed`` on every value, and a NaN or an infinity
+    anywhere in the column is the error ``format_fixed`` gives for the first bad value."""
+    xs, digits = case
+    assert outcome(lambda: _format_column(xs, digits)) == outcome(lambda: [format_fixed(x, digits) for x in xs])
 
 
 # -- one rule, one message: every channel rejects a precision alike ------------
