@@ -39,13 +39,22 @@ Weight handling:
 
 The four operator variants, named in :data:`OPERATOR_NAMES` (or ``q``/``p`` for
 ``cpwa_q``/``cpwa_p``), are built by :func:`make_operator`.
+
+``solve`` folds whole columns (:func:`_folded`) for a ``functools.partial`` of ``cpwa``/``cpwg``
+that binds only a ``GeneratorPair`` as ``gens``, told by type: ``functools.wraps`` copies
+attributes onto a wrapper.  Other callables run per row.  Per side, each non-zero-weight
+criterion in turn adds ``w * gen(x)`` to each alternative's total, in ``_weighted``'s order;
+``gen_inv`` runs per alternative.  The fused matrix keeps the ``gen(x)`` columns, six at most.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyInput, InvalidWeights, LengthMismatch, UnknownOperator
@@ -132,6 +141,35 @@ def cpwg(values: Sequence[CPFV], w: WeightVector, gens: GeneratorPair | None = N
     """Weighted geometric aggregation of circular values: ``~cpwa(~values)``."""
     gens = gens if gens is not None else algebraic_pair()
     return _generator_sum(*_checked(values, w), gens.g, gens.h, gens.q)
+
+
+def _folded(op: Callable, rows: Sequence[CPFVRow], ws: WeightVector, kept: dict) -> Iterator[CPFV] | None:
+    """``map(op, rows, repeat(ws))`` by column passes for a generator-pair ``op``, else ``None``, also if a
+    pass raises or a forward value is no float: the per-row path then gives its result or error.  ``kept``
+    maps ``(side, gen.increasing)`` to ``gen`` and its forward column, in cell order, 0.0 under a zero weight."""
+    gens = op.keywords.get("gens") if type(op) is partial and op.func in (cpwa, cpwg) and not op.args else None
+    if not isinstance(gens, GeneratorPair) or len(op.keywords) != 1:
+        return None
+    k, nonzero = len(ws), [(j, w) for j, w in enumerate(ws) if w != 0.0]  # skipped, as _weighted does
+    mu_gen, nu_gen = (gens.h, gens.g) if op.func is cpwa else (gens.g, gens.h)
+    sides = []
+    try:
+        for side, gen in (("mu", mu_gen), ("nu", nu_gen), ("r", gens.q)):
+            held = kept.get((side, gen.increasing))
+            if held is None or held[0] != gen:
+                columns, terms = [*zip(*(getattr(row, side) for row in rows))], [0.0] * (len(rows) * k)
+                for j, _ in nonzero:
+                    terms[j::k] = map(gen.forward, columns[j])
+                if {*map(type, terms)} != {float}:  # w * x need not be w * float(x), nor even defined
+                    return None
+                kept[side, gen.increasing] = held = gen, array("d", terms)  # whole, for threads sharing it
+            total = [0.0] * len(rows)
+            for j, w in nonzero:
+                total = [*map(add, total, map(mul, repeat(w), held[1][j::k]))]
+            sides.append(map(gen.inverse, total))
+    except Exception:  # raised again by the per-row path, in its order and at its alternative
+        return None
+    return map(CPFV, *sides)
 
 
 #: Identifiers of the four built-in operator variants.

@@ -17,9 +17,10 @@ close enough that quantization decides their order.  Pass
 ``aggregate_precision=None`` for a fully unrounded pipeline.
 
 A problem is normalized and fused once, on its first solve: every later solve
-of the same object shares its ``normalized`` and ``circular_matrix``, and a
-kept problem keeps them in memory.  A write into the problem's ``mu`` or ``nu``
-column is detected, bit for bit (``-0.0`` for ``0.0`` too), and fuses it again.
+of the same object shares its ``normalized`` and ``circular_matrix``.  A kept
+problem keeps them in memory, with the generator columns :mod:`cpfs.aggregation`
+folds: at most six ``array('d')``, 8 B per fused cell each.  A write into ``mu``
+or ``nu`` is detected, bit for bit (``-0.0`` for ``0.0`` too), and fuses again.
 
 ``complexity_estimate`` evaluates the closed-form operation-count model of
 the pipeline: ``k + 2kn(6m + 7) + 25n`` for the "_q" operator variants and
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from typing import Literal, Sequence
 
-from .aggregation import AggregationOperator, WeightVector, _operator_name, make_operator
+from .aggregation import AggregationOperator, WeightVector, _folded, _operator_name, make_operator
 from .errors import CircularFuzzyError, DimensionMismatch, DomainError, EmptyInput, LengthMismatch
 from .fusion import build_circular_matrix
 from .rounding import require_precision, round_half_up
@@ -224,9 +225,9 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
                                        problem.weights, mu, nu)
 
 
-def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, tuple[CPFVRow, ...]]:
-    """The normalized problem and its fused matrix, kept in the problem while its columns hold the
-    normalized cells, each cost column swapped back, bit for bit: ``array ==`` takes ``-0.0`` for ``0.0``."""
+def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, tuple[CPFVRow, ...], dict]:
+    """The normalized problem, fused matrix and generator columns, kept in the problem while its columns hold
+    the normalized cells, each cost column swapped back, bit for bit: ``array ==`` takes ``-0.0`` for ``0.0``."""
     memo, k = problem._fused, len(problem.criteria)
     if memo is not None:
         columns = problem.mu, problem.nu, memo[0].mu, memo[0].nu
@@ -235,7 +236,7 @@ def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, tuple[CPFVRo
         if all(mu[j::k] == x[j::k] and nu[j::k] == y[j::k] for j, (x, y) in enumerate(pairs)):
             return memo
     normalized = normalize(problem)
-    object.__setattr__(problem, "_fused", memo := (normalized, build_circular_matrix(normalized)))
+    object.__setattr__(problem, "_fused", memo := (normalized, build_circular_matrix(normalized), {}))
     return memo
 
 
@@ -259,11 +260,12 @@ def solve(
     if aggregate_precision is not None:
         require_precision(aggregate_precision)
 
-    normalized, circular = _fused_once(problem)
+    normalized, circular, kept = _fused_once(problem)
+    aggregates = _folded(op, circular, problem.weights, kept) or map(op, circular, repeat(problem.weights))
     aggregated, scored, similarities = [], [], []
-    for label, row in zip(problem.alternatives, circular):
+    for label in problem.alternatives:
         try:
-            v = op(row, problem.weights)
+            v = next(aggregates)
             aggregated.append(v)
             if aggregate_precision is not None:
                 # Rounding half-up can carry a value on the unit circle out of the disc.

@@ -401,7 +401,7 @@ class TestFusedOnce:
                 result = solve(problem, operator, aggregate_precision=precision)
                 if precision == 2:
                     assert result.ranking.ascending_string() == ref.RANKINGS[operator]
-        assert len(fuses) == 1
+        assert len(fuses) == 1 and len(problem._fused[2]) == 6  # the generator columns the four share
 
     @given(problems(), point_values, st.data())
     def test_reused_results_have_the_bits_of_a_fresh_problem(self, problem, point, data):
@@ -415,9 +415,11 @@ class TestFusedOnce:
     def test_a_written_cell_is_fused_again(self, fuses, polarity):
         problem = small_problem([[(0.5, 0.25), (0.5, 0.5)], [(0.25, 0.5), (0.75, 0.25)]], polarity)
         before = solve(problem, "cpwa_q")
+        columns = problem._fused[2]  # the generator columns of cpwa_q
         problem.mu[0] = 0.75
         after = solve(problem, "cpwa_q")
         assert len(fuses) == 2 and after != before
+        assert problem._fused[2] is not columns and len(columns) == len(problem._fused[2]) == 3
         assert result_bits(problem, "cpwa_q", 2) == result_bits(fresh(problem), "cpwa_q", 2)
 
     def test_a_zero_made_negative_under_a_cost_criterion_is_fused_again(self, fuses):
@@ -446,7 +448,7 @@ class TestFusedOnce:
         problem = load_case_study()
         solve(problem, "cpwg_q")
         copy = pickle.loads(pickle.dumps(problem, protocol))
-        assert copy == problem and bits(copy) == bits(problem)
+        assert copy == problem and bits(copy) == bits(problem) and copy._fused is None  # no generator columns
         for operator in OPERATORS:
             assert result_bits(copy, operator, 2) == result_bits(problem, operator, 2)
         assert len(fuses) == 2  # the pickle left the fused matrix behind; the copy fused once
