@@ -70,13 +70,13 @@ def build_circular_matrix(problem: DecisionProblem) -> tuple[CPFVRow, ...]:
 
     Returns the alternatives x criteria matrix of fused circular values as a tuple of rows, one
     :class:`~cpfs.values.CPFVRow` per alternative: cell ``(i, j)`` fuses every expert's evaluation
-    of alternative ``i`` under criterion ``j``.  Each expert's block of the problem's columns is
-    read through a ``memoryview``, not copied.
+    of alternative ``i`` under criterion ``j``.  Each expert's block of the problem's read-only
+    columns is a ``memoryview`` slice, not a copy.
     """
     alts, crits = problem.alternatives, problem.criteria
     k = len(crits)
     step = len(alts) * k  # the cells of one expert matrix
-    mu, nu = memoryview(problem.mu), memoryview(problem.nu)
+    mu, nu = problem.mu, problem.nu
     blocks = range(0, len(mu), step)
     at = lambda c: f"alternative {_shown(alts[c // k])}: criterion {_shown(crits[c % k])}"
     cells = _fused_columns([mu[b : b + step] for b in blocks], [nu[b : b + step] for b in blocks], at)

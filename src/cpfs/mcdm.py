@@ -16,11 +16,11 @@ pipeline reproduces were produced that way, and two alternatives can sit
 close enough that quantization decides their order.  Pass
 ``aggregate_precision=None`` for a fully unrounded pipeline.
 
-A problem is normalized and fused once, on its first solve: every later solve
-of the same object shares its ``normalized`` and ``circular_matrix``.  A kept
-problem keeps them in memory, with the generator columns :mod:`cpfs.aggregation`
-folds: at most six ``array('d')``, 8 B per fused cell each.  A write into ``mu``
-or ``nu`` is detected, bit for bit (``-0.0`` for ``0.0`` too), and fuses again.
+A problem holds its cells in two read-only float columns, so it is normalized
+and fused once, on its first solve: every later solve of the same object shares
+its ``normalized`` and ``circular_matrix``.  A kept problem keeps them in memory,
+with the generator columns :mod:`cpfs.aggregation` folds: at most six
+``array('d')``, 8 B per fused cell each.
 
 ``complexity_estimate`` evaluates the closed-form operation-count model of
 the pipeline: ``k + 2kn(6m + 7) + 25n`` for the "_q" operator variants and
@@ -63,10 +63,12 @@ class DecisionProblem:
 
     Built from ``experts``, nested as ``experts[e][i][j]``, expert ``e``'s
     evaluation of alternative ``i`` under criterion ``j``.  The cells are held
-    as two float columns, ``mu`` and ``nu``, in that expert -> alternative ->
-    criterion order, and only there.  An argument of the wrong kind, such as a
-    number where a sequence belongs, raises Python's own ``TypeError``; a value
-    of the right kind that breaks a rule raises a located error.
+    as two read-only float columns, ``mu`` and ``nu``, in that expert ->
+    alternative -> criterion order, and only there: each is a ``memoryview``
+    of ``bytes`` in format ``"d"``, so a write raises ``TypeError``.  An
+    argument of the wrong kind, such as a number where a sequence belongs,
+    raises Python's own ``TypeError``; a value of the right kind that breaks a
+    rule raises a located error.
     ``weights`` may be any sequence of numbers; it is checked and stored as a
     :class:`~cpfs.aggregation.WeightVector`.
     """
@@ -75,8 +77,8 @@ class DecisionProblem:
     criteria: tuple[str, ...]
     polarity: tuple[Polarity, ...]
     weights: WeightVector
-    mu: array = field(hash=False)
-    nu: array = field(hash=False)
+    mu: memoryview = field(hash=False, repr=False)
+    nu: memoryview = field(hash=False, repr=False)
     _fused: tuple | None = field(default=None, compare=False, repr=False)  # see _fused_once
 
     def __init__(self, alternatives: Sequence[str], criteria: Sequence[str], polarity: Sequence[Polarity],
@@ -100,17 +102,18 @@ class DecisionProblem:
 
     @classmethod
     def _of_columns(cls, *values: object) -> "DecisionProblem":
-        """The problem of these field values, in field order.  The columns must
-        hold valid point values of whole expert matrices; they are not checked."""
+        """The problem of these field values, in field order.  The columns, any buffers of
+        floats, must hold valid point values of whole expert matrices; they are not checked."""
         problem = object.__new__(cls)
         problem._set(*values)
         return problem
 
     def __reduce__(self) -> tuple:  # a copy or pickle is fused again; see _fused_once
-        return DecisionProblem._of_columns, tuple(map(self.__getattribute__, _FIELDS))
+        return DecisionProblem._of_columns, (*map(self.__getattribute__, _FIELDS[:4]), self.mu.obj, self.nu.obj)
 
     def _set(self, *values: object) -> None:
-        for name, value in zip(_FIELDS, values):
+        columns = (memoryview(bytes(c)).cast("d") for c in values[4:])  # bytes of bytes is not a copy
+        for name, value in zip(_FIELDS, (*values[:4], *columns)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_fused", None)
         self.__post_init__()
@@ -216,27 +219,21 @@ def normalize(problem: DecisionProblem) -> DecisionProblem:
     equals ``cell.complement()`` bit for bit.
     """
     old_mu, old_nu = problem.mu, problem.nu
-    mu, nu = old_mu[:], old_nu[:]
+    buffers = bytearray(old_mu), bytearray(old_nu)
+    mu, nu = (memoryview(b).cast("d") for b in buffers)
     m = len(problem.criteria)
     for j, polarity in enumerate(problem.polarity):
         if polarity == "cost":
             mu[j::m], nu[j::m] = old_nu[j::m], old_mu[j::m]
     return DecisionProblem._of_columns(problem.alternatives, problem.criteria, problem.polarity,
-                                       problem.weights, mu, nu)
+                                       problem.weights, *buffers)
 
 
 def _fused_once(problem: DecisionProblem) -> tuple[DecisionProblem, tuple[CPFVRow, ...], dict]:
-    """The normalized problem, fused matrix and generator columns, kept in the problem while its columns hold
-    the normalized cells, each cost column swapped back, bit for bit: ``array ==`` takes ``-0.0`` for ``0.0``."""
-    memo, k = problem._fused, len(problem.criteria)
-    if memo is not None:
-        columns = problem.mu, problem.nu, memo[0].mu, memo[0].nu
-        mu, nu, n_mu, n_nu = (memoryview(c).cast("B").cast("Q") for c in columns)
-        pairs = ((n_nu, n_mu) if p == "cost" else (n_mu, n_nu) for p in problem.polarity)
-        if all(mu[j::k] == x[j::k] and nu[j::k] == y[j::k] for j, (x, y) in enumerate(pairs)):
-            return memo
-    normalized = normalize(problem)
-    object.__setattr__(problem, "_fused", memo := (normalized, build_circular_matrix(normalized), {}))
+    """The normalized problem, fused matrix and generator columns, kept in the problem from its first solve."""
+    if (memo := problem._fused) is None:
+        normalized = normalize(problem)
+        object.__setattr__(problem, "_fused", memo := (normalized, build_circular_matrix(normalized), {}))
     return memo
 
 

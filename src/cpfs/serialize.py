@@ -65,7 +65,11 @@ __all__ = [
 @contextmanager
 def _decoded(document: str | dict, source: str | None, loads: Callable[[str], Any] = json.loads) -> Iterator[Any]:
     """``document``, decoded by ``loads`` if it is JSON text, for a ``with`` block that reads
-    it: a :class:`ParseError` raised in decoding or in the block names ``source``."""
+    it: a :class:`ParseError` raised in decoding or in the block names ``source``.  The cyclic
+    garbage collector is paused from before decoding until the block ends, since the decoded
+    tree holds no cycles; a caller that disabled the collector keeps it so."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         try:
             data = loads(document) if isinstance(document, str) else document
@@ -76,16 +80,6 @@ def _decoded(document: str | dict, source: str | None, loads: Callable[[str], An
     except ParseError as err:
         err.source = source
         raise
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """The cyclic garbage collector paused, as a decorator of a parser, until the parser returns,
-    since the decoded tree holds no cycles; a caller that disabled the collector keeps it so."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
     finally:
         if enabled:
             gc.enable()
@@ -220,7 +214,6 @@ def _read_experts(text: str, i: int, n: int, k: int) -> tuple[_Cells, int]:
     return _Cells((mu, nu)), i
 
 
-@_collector_paused()
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
     """Parse and validate a problem document (JSON text or an already-loaded dict).
     The cyclic garbage collector is paused, process-wide, until it returns."""
@@ -283,7 +276,6 @@ def dump_problem(problem: DecisionProblem) -> str:
     return json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
 
 
-@_collector_paused()
 def parse_collections(document: str | dict, source: str | None = None) -> list[tuple[str, list[PFV]]]:
     """Parse a collections document into ``(label, point values)`` rows.
     The cyclic garbage collector is paused, process-wide, until it returns."""
@@ -318,7 +310,6 @@ _CONFIG_CHECKS = {"operator": _operator_name, "precision": require_precision,
                   "aggregate_precision": require_precision}
 
 
-@_collector_paused()
 def parse_config(document: str | dict, source: str | None = None) -> dict:
     """Parse and validate a ``solve`` config document.
 

@@ -173,3 +173,14 @@ def test_build_circular_matrix_equals_the_per_cell_formula(problem):
     want = [[hexed(reference_fuse([matrix[i][j] for matrix in experts])) for j in range(len(row))]
             for i, row in enumerate(experts[0])]
     assert [[hexed(v) for v in row] for row in out] == want
+
+
+@settings(max_examples=1000)
+@example(5e-324, 1.0)
+@example(-0.0, 0.0)
+@example(0.7121589030173542, 0.7020183030755814)  # a pair at the point rule's slack limit
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_hypot_is_symmetric_bit_for_bit(a, b):
+    """A radius is a ``hypot`` of a cell's two component distances, so fusing a cost column and then
+    swapping its components gives the radius of fusing the swapped column only if this holds."""
+    assert math.hypot(a, b).hex() == math.hypot(b, a).hex()
