@@ -44,10 +44,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     operator = args.operator if args.operator is not None else config.get("operator", "cpwa_q")
     operator = _operator_name(operator)
     precision = args.precision if args.precision is not None else config.get("precision", 2)
-    aggregate_precision = config.get("aggregate_precision", precision)
 
+    # The precision sets only the tables' decimals: scoring takes the config's aggregate_precision, else solve's.
     problem = load_problem(args.input)
-    result = solve(problem, operator, aggregate_precision=aggregate_precision)
+    result = solve(problem, operator, **{k: v for k, v in config.items() if k == "aggregate_precision"})
 
     if args.out_dir is not None:
         files = write_solve_tables(result, args.out_dir, precision=precision)

@@ -21,8 +21,9 @@ other key is allowed::
     {"operator": "cpwa_q", "precision": 2, "aggregate_precision": 2}
 
 A problem's cells are checked one expert matrix at a time in whole-matrix
-passes, and a matrix they do not take is read again cell by cell; problem
-text is decoded one matrix at a time where :func:`_read_problem` takes it.
+passes, and a matrix they do not take is read cell by cell.  Problem text is
+decoded one matrix at a time where :func:`_read_problem` takes it, each matrix
+the passes take held as its columns and any other as decoded.
 Each parser pauses the cyclic garbage collector, process-wide, until it returns.
 
 Errors carry their document path as ``location`` (e.g. ``experts[1][2][0]``)
@@ -144,7 +145,11 @@ def _as_pair(node: Any, where: str) -> tuple[float, float]:
     return pair
 
 
-def _columns(matrix: Any, n: int, k: int) -> tuple[list, list] | None:
+class _Columns(tuple):
+    """The ``mu`` and ``nu`` components of one expert matrix, as two ``array('d')``, from :func:`_columns`."""
+
+
+def _columns(matrix: Any, n: int, k: int) -> _Columns | None:
     """The ``mu`` and ``nu`` components of an expert matrix that is a list of ``n`` rows of
     ``k`` ``[mu, nu]`` lists of floats passing the point rule, by whole-matrix passes; else ``None``."""
     if type(matrix) is not list or {*map(type, matrix)} != {list} or list(map(len, matrix)) != [k] * n:
@@ -154,16 +159,13 @@ def _columns(matrix: Any, n: int, k: int) -> tuple[list, list] | None:
         return None
     components = list(chain.from_iterable(cells))
     xs, ys = components[0::2], components[1::2]
-    return (xs, ys) if {*map(type, components)} == {float} and _points_pass(xs, ys) else None
+    ok = {*map(type, components)} == {float} and _points_pass(xs, ys)
+    return _Columns((array("d", xs), array("d", ys))) if ok else None
 
 
 #: What ``json.loads`` skips between tokens, and its C scanner of one value.
 _skip = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder().scan_once
-
-
-class _Cells(tuple):
-    """The ``(mu, nu)`` columns of every expert matrix of a document, read by :func:`_read_problem`."""
 
 
 def _token(text: str, i: int) -> tuple[str, int]:
@@ -174,9 +176,9 @@ def _token(text: str, i: int) -> tuple[str, int]:
 
 
 def _read_problem(text: str) -> Any:
-    """``json.loads(text)``, but with ``experts`` read into :class:`_Cells`, one matrix decoded at a
-    time, if ``text`` is an object with unique keys, ``alternatives`` and ``criteria`` come before
-    ``experts``, :func:`_columns` takes every matrix, and only whitespace follows the object."""
+    """``json.loads(text)``, but with ``experts`` read by :func:`_read_experts`, one matrix decoded
+    at a time, if ``text`` is an object with unique keys, ``alternatives`` and ``criteria`` come
+    before ``experts``, and only whitespace follows the object."""
     data: dict = {}
     try:
         token, i = _token(text, 0)
@@ -190,28 +192,25 @@ def _read_problem(text: str) -> Any:
             token, i = _token(text, i)
         if token == "}" and i == len(text):
             return data
-    # Text json.loads rejects, experts before a count or of a shape _columns does not take.
+    # Text json.loads rejects, or experts before a count.
     except (ValueError, StopIteration, IndexError, RecursionError, KeyError, TypeError):
         pass
     return json.loads(text)
 
 
-def _read_experts(text: str, i: int, n: int, k: int) -> tuple[_Cells, int]:
-    """The columns of the non-empty list of expert matrices at ``text[i]`` and the index after it,
-    each matrix decoded and dropped before the next; a ``ValueError`` if :func:`_columns` leaves one."""
-    mu, nu = array("d"), array("d")
+def _read_experts(text: str, i: int, n: int, k: int) -> tuple[list, int]:
+    """The non-empty list of expert matrices at ``text[i]`` and the index after it, each matrix
+    decoded in turn and held as its :class:`_Columns` where :func:`_columns` takes it, else as decoded."""
+    experts: list = []
     token, i = _token(text, i)
-    while token == ("," if mu else "["):  # a matrix _columns takes has a cell
+    while token == ("," if experts else "["):
         matrix, i = _scan(text, i)
-        if not (columns := _columns(matrix, n, k)):
-            raise ValueError("a matrix to read cell by cell")
-        mu.fromlist(columns[0])
-        nu.fromlist(columns[1])
-        del matrix, columns
+        experts.append(_columns(matrix, n, k) or matrix)
+        del matrix  # dropped before the next matrix is decoded
         token, i = _token(text, i)
-    if not mu or token != "]":
+    if not experts or token != "]":
         raise ValueError("expected a non-empty list")
-    return _Cells((mu, nu)), i
+    return experts, i
 
 
 def parse_problem(document: str | dict, source: str | None = None) -> DecisionProblem:
@@ -233,25 +232,24 @@ def parse_problem(document: str | dict, source: str | None = None) -> DecisionPr
         polarity = _as_list(data["polarity"], "polarity")
         weights = _as_list(data["weights"], "weights")
 
-        # The cells go straight into the problem's columns (text _read_problem took is there already);
-        # see DecisionProblem.  A matrix the whole-matrix pass does not take is read again cell by cell.
-        experts = data["experts"]
-        mu, nu = experts if type(experts) is _Cells else (array("d"), array("d"))
+        # Each matrix's columns, read by _read_problem (a _Columns, which no dict document holds), by the
+        # whole-matrix pass or else cell by cell, are joined once per side (see DecisionProblem).
         n, k = len(alternatives), len(criteria)
-        for e, matrix in enumerate(() if type(experts) is _Cells else _as_list(experts, "experts")):
-            if columns := _columns(matrix, n, k):
-                mu.fromlist(columns[0])
-                nu.fromlist(columns[1])
-                continue
-            for i, row in enumerate(_as_list(matrix, f"experts[{e}]", n, "alternative")):
-                for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", k, "criterion")):
-                    x, y = _as_pair(cell, f"experts[{e}][{i}][{j}]")
-                    mu.append(x)
-                    nu.append(y)
+        mu, nu = [], []
+        for e, matrix in enumerate(_as_list(data["experts"], "experts")):
+            columns = matrix if type(matrix) is _Columns else _columns(matrix, n, k)
+            if not columns:
+                cells = [_as_pair(cell, f"experts[{e}][{i}][{j}]")
+                         for i, row in enumerate(_as_list(matrix, f"experts[{e}]", n, "alternative"))
+                         for j, cell in enumerate(_as_list(row, f"experts[{e}][{i}]", k, "criterion"))]
+                columns = array("d", [x for x, _ in cells]), array("d", [y for _, y in cells])
+            mu.append(columns[0])
+            nu.append(columns[1])
 
         # The problem's own checks cover labels, polarity and weights; their errors
         # carry the offending item as their location (``polarity[j]``, ``weights``).
-        return _located(None, DecisionProblem._of_columns, alternatives, criteria, polarity, weights, mu, nu)
+        return _located(None, DecisionProblem._of_columns, alternatives, criteria, polarity, weights,
+                        b"".join(mu), b"".join(nu))
 
 
 def load_problem(path: str | Path) -> DecisionProblem:

@@ -2,12 +2,13 @@
 
 ``parse_problem`` reads JSON text itself where the text has the shape every
 producer writes (an object with unique keys, ``alternatives`` and ``criteria``
-before ``experts``, every matrix taken by the whole-matrix pass, nothing after
-the object), decoding one expert matrix at a time; any other text is decoded
-whole by ``json.loads``.  Whichever path a text takes, it must give what
+before ``experts``, nothing after the object), decoding one expert matrix at a
+time: a matrix the whole-matrix pass takes is held as its columns, any other as
+decoded, to be read cell by cell.  Any other text is decoded whole by
+``json.loads``.  Whichever path a text takes, it must give what
 ``parse_problem(json.loads(text))`` gives: the same problem, bit for bit, or
 the same located error.  The reader must also keep a parse's memory down to
-about one matrix's decoded lists.
+about one matrix's decoded lists, and one more for a matrix read cell by cell.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpfs import ParseError, case_study_path
-from cpfs.serialize import _Cells, _read_problem, dump_problem, parse_problem, problem_to_dict
+from cpfs.serialize import _Columns, _read_problem, dump_problem, parse_problem, problem_to_dict
 from helpers import perfbench_gen, problems
 
 WHITESPACE = " \t\n\r"
@@ -62,12 +63,35 @@ def text_of(members, rng):
     return ws() + "{" + ",".join(items) + "}" + ws()
 
 
+#: Cells the whole-matrix pass does not take: valid ones with an integer component, then invalid ones.
+ODD_CELLS = [[1, 0], [0, 1], [0, 0], [0.5, 0], [1, 0.0], [2, 0], [0.9, 0.9], [float("nan"), 0.0], [0.1],
+             [0.1, 0.2, 0.3], [True, 0.0], ["x", 0.0], None, 0.5]
+
+
+def odd_cells(experts, rng, cells):
+    """Some cells of one random matrix of ``experts`` written to miss the whole-matrix pass, in
+    place: ``"integers"`` writes each integral component as a JSON integer and one random cell as
+    ``[1, 0]``; ``"one cell"`` puts one of :data:`ODD_CELLS` in one random place."""
+    matrix = rng.choice(experts)
+    row = rng.choice(matrix)
+    if cells == "integers":
+        for line in matrix:
+            line[:] = [[int(x) if x.is_integer() else x for x in cell] for cell in line]
+        row[rng.randrange(len(row))] = [1, 0]
+    else:
+        row[rng.randrange(len(row))] = rng.choice(ODD_CELLS)
+
+
 @settings(max_examples=200, deadline=None)
-@given(problems(), problems(), st.randoms(use_true_random=False), st.booleans(), st.booleans())
-def test_reserialized_text_parses_as_its_decoded_document(problem, other, rng, shuffle, duplicate):
-    """Shuffled keys, JSON whitespace, ``\\u``-escaped keys and a repeated key give what the
-    decoded document gives; a repeated ``experts`` keeps the last, as ``json.loads`` does."""
+@given(problems(), problems(), st.randoms(use_true_random=False), st.booleans(), st.booleans(),
+       st.sampled_from([None, "integers", "one cell"]))
+def test_reserialized_text_parses_as_its_decoded_document(problem, other, rng, shuffle, duplicate, cells):
+    """Shuffled keys, JSON whitespace, ``\\u``-escaped keys, a repeated key and a matrix read cell
+    by cell give what the decoded document gives; a repeated ``experts`` keeps the last, as
+    ``json.loads`` does."""
     members = list(problem_to_dict(problem).items())
+    if cells:
+        odd_cells(dict(members)["experts"], rng, cells)
     if shuffle:
         rng.shuffle(members)
     if duplicate:
@@ -95,16 +119,13 @@ def producers(monkeypatch):
 def test_every_producers_text_is_read_one_matrix_at_a_time(monkeypatch):
     for name, text in producers(monkeypatch).items():
         data = _read_problem(text)
-        assert type(data["experts"]) is _Cells, name
+        assert all(type(matrix) is _Columns for matrix in data["experts"]), name
         assert outcome(text) == outcome(json.loads(text)), name
 
 
 @pytest.mark.parametrize("edit", [
     lambda t: t.replace('"alternatives"', '"alternatives": [], "alternatives"', 1),
     lambda t: '{"experts": [], ' + t.lstrip()[1:],
-    lambda t: t.replace("0.8", "1", 1),
-    lambda t: t.replace("0.8", "NaN", 1),
-    lambda t: t.replace("[0.7, 0.1]", "[0.7, 0.1], [0.1, 0.1]", 1),
     lambda t: t + " x",
     lambda t: t.rstrip()[:-1] + ', }',
     lambda t: t.replace("]]\n    ]", "]],\n    ]", 1),
@@ -116,7 +137,7 @@ def test_every_producers_text_is_read_one_matrix_at_a_time(monkeypatch):
     lambda t: "\ufeff" + t,
     lambda t: "[" + t + "]",
     lambda t: "{}",
-], ids=["repeated key", "experts first", "an integer cell", "a NaN cell", "a row too long", "extra data",
+], ids=["repeated key", "experts first", "extra data",
         "trailing comma in the object", "trailing comma in a matrix", "trailing comma in experts",
         "a comma for the brace", "a comma for the bracket", "experts a bracket", "no expert matrix", "byte order mark", "not an object", "empty object"])
 def test_text_of_another_shape_is_decoded_whole(edit):
@@ -135,6 +156,43 @@ def test_text_of_another_shape_is_decoded_whole(edit):
         assert outcome(text) == outcome(decoded)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("0.8", "1", 1),
+    lambda t: t.replace("0.8", "NaN", 1),
+    lambda t: t.replace("[0.7, 0.1]", "[0.7, 0.1], [0.1, 0.1]", 1),
+    lambda t: "[1, 0]".join(t.rsplit("[0.6, 0.4]", 1)),
+], ids=["an integer cell", "a NaN cell", "a row too long", "a valid integer cell in the last matrix"])
+def test_a_matrix_the_pass_rejects_is_held_as_decoded(edit):
+    """The matrix an edit of the case study's text leaves to the cell-by-cell loop is held as
+    decoded, every other matrix as its columns, and the text parses as its decoded document."""
+    original = case_study_path().read_text(encoding="utf-8")
+    text = edit(original)
+    decoded = json.loads(text)["experts"]
+    edited = [e for e, m in enumerate(json.loads(original)["experts"]) if json.dumps(m) != json.dumps(decoded[e])]
+    assert len(edited) == 1
+    held = _read_problem(text)["experts"]
+    assert len(held) == len(decoded)
+    for e, (matrix, want) in enumerate(zip(held, decoded)):
+        if e in edited:
+            assert type(matrix) is list and json.dumps(matrix) == json.dumps(want)
+        else:
+            cells = [cell for row in want for cell in row]
+            assert type(matrix) is _Columns
+            assert [list(map(float.hex, column)) for column in matrix] == [
+                [float.hex(cell[c]) for cell in cells] for c in (0, 1)]
+    assert outcome(text) == outcome(json.loads(text))
+
+
+def traced_peak(text):
+    """The traced peak of ``parse_problem(text)``, in bytes."""
+    tracemalloc.start()
+    try:
+        parse_problem(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_panel_sized_parse_holds_about_one_matrix(monkeypatch):
     """The traced peak of parsing the benchmark's 10x500x20 document.  Decoding it whole
     peaks at about 17 MB, and reading one matrix at a time at about 3.5 MB: the columns
@@ -142,11 +200,15 @@ def test_a_panel_sized_parse_holds_about_one_matrix(monkeypatch):
     peaks at about 4.7 MB."""
     gen = perfbench_gen(monkeypatch)
     text = json.dumps(gen.generate(gen.Params(10, 500, 20), seed=0))
-    tracemalloc.start()
-    try:
-        parse_problem(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_200_000
+    assert traced_peak(text) < 4_200_000
+
+
+def test_a_matrix_read_cell_by_cell_adds_about_one_matrix(monkeypatch):
+    """The same document with one ``[1, 0]`` cell in its first matrix: that matrix is held as
+    decoded (about 1.4 MB) while the rest are read, and nothing else changes.  Decoding the whole
+    text instead peaks at about 18 MB."""
+    gen = perfbench_gen(monkeypatch)
+    doc = gen.generate(gen.Params(10, 500, 20), seed=0)
+    doc["experts"][0][0][0] = [1, 0]
+    assert traced_peak(json.dumps(doc)) < 6_000_000
 

@@ -12,6 +12,7 @@ import pytest
 from cpfs import DecisionProblem, DomainError, ParseError, case_study_path, collections_path, load_case_study, solve
 from cpfs import cli
 from cpfs.cli import main
+from expected_case_study import RANKINGS
 from helpers import experts_of, perfbench_gen
 from cpfs.serialize import (
     dump_problem,
@@ -364,6 +365,19 @@ class TestCli:
         assert "operator: cpwg_p" in out
         assert "ranking: A1 < A4 < A3 < A5 < A2" in out
 
+    @pytest.mark.parametrize("operator", sorted(RANKINGS))
+    def test_precision_sets_only_the_tables_decimals(self, tmp_path, capsys, operator):
+        """At ``--precision 0`` the paper's ranking still comes out, and at 3 the scores are those
+        of ``solve`` at its default ``aggregate_precision`` of 2."""
+        assert main(["solve", "--operator", operator, "--precision", "0"]) == 0
+        assert f"ranking: {RANKINGS[operator]}\n" in capsys.readouterr().out
+        assert main(["solve", "--operator", operator, "--precision", "3", "--out-dir", str(tmp_path)]) == 0
+        want = solve(load_case_study(), operator, aggregate_precision=2)
+        assert f"ranking: {want.ranking.ascending_string()}\n" in capsys.readouterr().out
+        got = json.loads((tmp_path / "result.json").read_text())
+        assert got["scored"] == [[v.mu, v.nu, v.r] for v in want.scored]
+        assert got["similarities"] == list(want.similarities)
+
     def test_solve_rejects_bad_weights(self, tmp_path, capsys):
         doc = json.loads(case_study_path().read_text())
         doc["weights"] = [0.2, 0.4, 0.1, 0.1, 0.1]  # sums to 0.9
@@ -706,7 +720,7 @@ class TestCachedParser:
         assert [c[0] for c in cached] == [0, 0, 0, 2, 0]
         assert [c[1].replace("cached", "fresh") for c in cached] == [f[1] for f in fresh]
         assert [c[2:] for c in cached] == [f[2:] for f in fresh]
-        assert cached[0][3]["ranking.csv"] != cached[4][3]["ranking.csv"]  # precision 3, then 2 again
+        assert cached[0][3]["aggregated.csv"] != cached[4][3]["aggregated.csv"]  # precision 3, then 2 again
 
     def test_help_wraps_to_the_terminal_on_each_call(self, monkeypatch, capsys):
         def help_text(parse):
